@@ -38,8 +38,7 @@ def run_dataset(base: Path, name: str) -> None:
     print(f"aGS objective: {best.objective:.4f} in {time.monotonic() - t0:.1f}s")
 
     t0 = time.monotonic()
-    rep = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=0.1,
-                     f_upper_init=best, threads=8)
+    rep = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=0.1, f_upper_init=best)
     angles = tuple(round(v, 3) for v in rep.incumbent.angles.to_degrees())
     print(f"nsBB f_upper: {rep.f_upper:.4f} f_lower: {rep.f_lower:.4f} "
           f"({rep.converged_by}) in {time.monotonic() - t0:.1f}s")

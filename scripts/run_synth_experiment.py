@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=5, help="grid-search rounds")
     p.add_argument("--eps-rel", type=float, default=0.01)
     p.add_argument("--eps-abs", type=float, default=0.1)
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=int, default=8, help="grid-search threads")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
 
@@ -54,7 +54,7 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     rep = nsbb_solve(hat, bar, box, eps_rel=args.eps_rel, eps_abs=args.eps_abs,
-                     f_upper_init=best, threads=args.threads)
+                     f_upper_init=best)
     t_nsbb = time.monotonic() - t0
     err = np.degrees(np.abs(rep.incumbent.angles.as_array() - truth.as_array()))
     print(f"\nnsBB: f_lower={rep.f_lower:.6g} f_upper={rep.f_upper:.6g} "

@@ -6,7 +6,7 @@ spatial branch-and-bound solver that certifies global optimality via
 per-pair distance bounds over angle boxes.
 """
 
-from .cloud import Cloud, CropBox, ScanPoint, georeference, load_fused, save_fused, synth_generate
+from .cloud import Cloud, CropBox, georeference, load_fused, save_fused, synth_generate
 from .gopt import SolveReport, nsbb_solve
 from .rotation import AngleBox, EulerAngles, rotation_from_angles
 from .search import AgsConfig, Evaluation, ags, evaluate_ub
@@ -18,7 +18,6 @@ __all__ = [
     "CropBox",
     "Evaluation",
     "EulerAngles",
-    "ScanPoint",
     "SolveReport",
     "ags",
     "evaluate_ub",

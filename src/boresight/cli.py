@@ -127,8 +127,7 @@ def _build_parser() -> _Parser:
     npb.add_argument("--eps-abs", type=float, default=0.1)
     npb.add_argument("--node-time", type=float, default=30.0)
     npb.add_argument("--bounds", type=float, default=2.0)
-    npb.add_argument("--threads", type=int, default=1)
-    npb.add_argument("--deterministic", action="store_true")
+    npb.add_argument("--threads", type=int, default=1, help="grid-search warm-start threads")
     npb.add_argument("--lb-mode", choices=("builtin", "external"), default="builtin")
     npb.add_argument("--solver-cmd", default=None)
     npb.add_argument("--max-nodes", type=int, default=None)
@@ -246,7 +245,6 @@ def _cmd_nsbb(args) -> int:
         hat, bar, box,
         eps_rel=args.eps_rel, eps_abs=args.eps_abs, node_time=args.node_time,
         f_upper_init=init, lb_mode=args.lb_mode, solver_cmd=args.solver_cmd,
-        threads=args.threads, deterministic=args.deterministic,
         max_nodes=args.max_nodes, time_limit=args.time_limit,
     )
     kv = [
@@ -254,7 +252,7 @@ def _cmd_nsbb(args) -> int:
         ("hat", args.hat), ("bar", args.bar),
         ("eps_rel", args.eps_rel), ("eps_abs", args.eps_abs),
         ("bounds_deg", args.bounds), ("seed", args.seed),
-        ("threads", args.threads), ("deterministic", int(args.deterministic)),
+        ("threads", args.threads),
         ("lb_mode", args.lb_mode),
     ]
     if ags_objective is not None:

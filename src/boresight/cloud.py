@@ -29,15 +29,6 @@ class EmptySelectionError(ValueError):
     """Raised when a crop keeps no points (the solvers need non-empty clouds)."""
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    """One LiDAR return with its per-point INS pose."""
-
-    l: np.ndarray            # scanner-frame coordinates, meters
-    ins_rotation: np.ndarray  # INS attitude w.r.t. the mapping frame, 3x3
-    s: np.ndarray            # scanner position in the mapping frame, meters
-
-
 class Cloud:
     """Immutable, ordered collection of scan points stored as packed arrays."""
 
@@ -79,9 +70,6 @@ class Cloud:
     @property
     def s(self) -> np.ndarray:
         return self._s
-
-    def point(self, i: int) -> ScanPoint:
-        return ScanPoint(l=self._l[i], ins_rotation=self._R[i], s=self._s[i])
 
     def subset(self, idx: np.ndarray, label: str | None = None) -> "Cloud":
         return Cloud(self._l[idx], self._R[idx], self._s[idx],

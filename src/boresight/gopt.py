@@ -6,13 +6,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -84,12 +84,18 @@ def node_lower_bound(
     solver_cmd: str | None = None,
     t_max: float = 30.0,
     parent_lower: float = 0.0,
+    node_upper: float = np.inf,
 ) -> float:
-    """Lower bound for the node; never below the parent's (monotone by construction)."""
+    """Lower bound for the node; never below the parent's (monotone by construction).
+
+    node_upper is the objective at some angle in the node box (the solver
+    passes the box midpoint's), so no valid lower bound exceeds it; an
+    external bound above it is rejected.
+    """
     builtin = builtin_lower_bound(node.pairs)
     value = max(builtin, parent_lower)
     if mode == "external":
-        external = _external_lower_bound(node, hat, bar, solver_cmd, t_max)
+        external = _external_lower_bound(node, hat, bar, solver_cmd, t_max, node_upper)
         if external is not None:
             value = max(value, external)
     elif mode != "builtin":
@@ -97,10 +103,11 @@ def node_lower_bound(
     return value
 
 
-def _external_lower_bound(node, hat, bar, solver_cmd, t_max) -> float | None:
+def _external_lower_bound(node, hat, bar, solver_cmd, t_max, node_upper) -> float | None:
     if solver_cmd is None or hat is None or bar is None:
         log.warning("external lower bound requested without adapter/clouds; using builtin")
         return None
+    path = None
     try:
         model = build_miqcqp(hat, bar, node.pairs, node.box)
         with tempfile.NamedTemporaryFile("w", suffix=".miqcqp", delete=False) as fh:
@@ -113,12 +120,20 @@ def _external_lower_bound(node, hat, bar, solver_cmd, t_max) -> float | None:
         for line in reversed(proc.stdout.splitlines()):
             parts = line.split()
             if len(parts) == 2 and parts[0] == "LOWER":
-                return float(parts[1])
+                value = float(parts[1])
+                if not math.isfinite(value) or value > node_upper:
+                    log.warning("external solver returned LOWER %r (node objective %r); "
+                                "using builtin bound", value, node_upper)
+                    return None
+                return value
         log.warning("external solver produced no LOWER line; using builtin bound")
         return None
     except (OSError, subprocess.SubprocessError, ValueError) as exc:
         log.warning("external lower bound failed (%s); using builtin bound", exc)
         return None
+    finally:
+        if path is not None:
+            Path(path).unlink(missing_ok=True)
 
 
 # --- MIQCQP model construction and text export ---
@@ -427,8 +442,6 @@ def nsbb_solve(
     f_upper_init: Evaluation | float | None = None,
     lb_mode: str = "builtin",
     solver_cmd: str | None = None,
-    threads: int = 1,
-    deterministic: bool = False,
     min_width: float = MIN_BOX_WIDTH,
     max_nodes: int | None = None,
     time_limit: float | None = None,
@@ -460,7 +473,6 @@ def nsbb_solve(
         # a bare numeric bound tightens pruning but carries no angles
         f_upper = float(f_upper_init)
 
-    lock = threading.Lock()
     state = {
         "f_upper": f_upper,
         "incumbent": incumbent,
@@ -487,7 +499,8 @@ def nsbb_solve(
         return _final_report(state, f_l, "exhausted", bound_log, prune_log,
                              pairs_root, t0)
     root.lower = min(
-        node_lower_bound(root, lb_mode, hat, bar, solver_cmd, node_time, 0.0),
+        node_lower_bound(root, lb_mode, hat, bar, solver_cmd, node_time, 0.0,
+                         node_upper=mid_eval.objective),
         state["f_upper"],
     )
 
@@ -499,10 +512,9 @@ def nsbb_solve(
 
     def current_f_lower() -> float:
         nonlocal f_lower_best
-        lows = [item[0] for item in queue]
-        if np.isfinite(closed_lower):
-            lows.append(closed_lower)
-        value = min(min(lows), state["f_upper"]) if lows else state["f_upper"]
+        # the heap is keyed on the lower bound, so its top is the open minimum
+        open_lower = queue[0][0] if queue else np.inf
+        value = min(open_lower, closed_lower, state["f_upper"])
         f_lower_best = max(f_lower_best, value)
         return f_lower_best
 
@@ -518,20 +530,18 @@ def nsbb_solve(
 
     def process_child(child: Node, parent: Node):
         ev = evaluate_ub(hat, bar, child.box.midpoint())
-        with lock:
-            if ev.objective < state["f_upper"]:
-                state["f_upper"] = ev.objective
-                state["incumbent"] = ev
-            f_u = state["f_upper"]
+        if ev.objective < state["f_upper"]:
+            state["f_upper"] = ev.objective
+            state["incumbent"] = ev
+        f_u = state["f_upper"]
         tight = compute_pair_set(hat, bar, child.box, parent.pairs, f_upper=f_u)
         red = reduce_pairs(tight, f_u)
-        with lock:
-            state["eliminated"] += red.removed_total
+        state["eliminated"] += red.removed_total
         if red.infeasible:
             return ("infeasible", child, None)
         child.pairs = red.pairs
         lb = node_lower_bound(child, lb_mode, hat, bar, solver_cmd, node_time,
-                              parent_lower=parent.lower)
+                              parent_lower=parent.lower, node_upper=ev.objective)
         child.lower = lb
         return ("open", child, lb)
 
@@ -555,11 +565,8 @@ def nsbb_solve(
             continue
         children = branch(node, min_width)
         state["explored"] += 1
-        if threads > 1 and not deterministic:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda ch: process_child(ch, node), children))
-        else:
-            results = [process_child(ch, node) for ch in children]
+        # every child updates the incumbent before any of them is pruned
+        results = [process_child(ch, node) for ch in children]
         for status, child, lb in results:
             if status == "infeasible":
                 state["pruned_infeasible"] += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import Cloud, ScanPoint
+from .cloud import Cloud
 from .reduce import PairSet
 from .rotation import AngleBox, rotation_interval
 from .spatial import gjk_min_sq_dist, max_vertex_sq_dist
@@ -182,54 +182,8 @@ def transform_polytope(p: UncertaintyPolytope, s: np.ndarray, R: np.ndarray) -> 
     return np.asarray(s, dtype=float) + p.vertices @ np.asarray(R, dtype=float).T
 
 
-@dataclass(frozen=True)
-class PairBounds:
-    """Certified squared-distance bounds for one candidate pair over a box."""
-
-    c_lo: float
-    c_hi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.c_lo <= self.c_hi):
-            raise ValueError("require 0 <= c_lo <= c_hi")
-
-
-class PolytopeCache:
-    """Per-box polytope store; write-once per node, then read-only."""
-
-    def __init__(self, box: AngleBox):
-        self.box = box
-        self._store: dict = {}
-
-    def get(self, key, l: np.ndarray) -> UncertaintyPolytope:
-        poly = self._store.get(key)
-        if poly is None:
-            poly = build_polytope(l, self.box)
-            self._store[key] = poly
-        return poly
-
-
 def _pair_slack(a: UncertaintyPolytope, b: UncertaintyPolytope) -> float:
     return POINT_SLACK if (a.is_point and b.is_point) else CONTAIN_SLACK
-
-
-def pair_bounds(
-    i_hat: ScanPoint,
-    j_bar: ScanPoint,
-    box: AngleBox,
-    cache: PolytopeCache | None = None,
-) -> PairBounds:
-    """Certified [c_lo, c_hi] on the squared distance of one pair over the box."""
-    if cache is None:
-        cache = PolytopeCache(box)
-    poly_hat = cache.get(("hat", i_hat.l.tobytes()), i_hat.l)
-    poly_bar = cache.get(("bar", j_bar.l.tobytes()), j_bar.l)
-    v_hat = transform_polytope(poly_hat, i_hat.s, i_hat.ins_rotation)
-    v_bar = transform_polytope(poly_bar, j_bar.s, j_bar.ins_rotation)
-    slack = _pair_slack(poly_hat, poly_bar)
-    c_lo = max(0.0, gjk_min_sq_dist(v_hat, v_bar) - slack)
-    c_hi = max_vertex_sq_dist(v_hat, v_bar) + slack
-    return PairBounds(c_lo=c_lo, c_hi=max(c_hi, c_lo))
 
 
 def compute_pair_set(
@@ -238,19 +192,15 @@ def compute_pair_set(
     box: AngleBox,
     pairs: PairSet | None = None,
     f_upper: float = np.inf,
-    refine: str = "auto",
 ) -> PairSet:
     """Bounds over the box for every candidate pair, vectorized.
 
     Cheap enclosing-ball bounds are computed for all pairs; exact
     polytope-distance bounds are then computed only where they could change a
-    reduction decision (refine="auto"), for every pair ("all"), or never
-    ("none"). Passing an existing PairSet restricts the candidates and
-    intersects the new bounds with the old ones, which keeps bounds monotone
-    for nested boxes.
+    reduction decision. Passing an existing PairSet restricts the candidates
+    and intersects the new bounds with the old ones, which keeps bounds
+    monotone for nested boxes.
     """
-    if refine not in ("auto", "all", "none"):
-        raise ValueError(f"unknown refine mode {refine!r}")
     if pairs is None:
         pairs = PairSet.dense(len(hat), len(bar))
     i_arr, j_arr = pairs.i, pairs.j
@@ -297,32 +247,27 @@ def compute_pair_set(
     c_hi = np.minimum(c_hi, prev_hi)
     c_lo = np.minimum(c_lo, c_hi)
 
-    if refine != "none":
-        if refine == "all":
-            mask = np.ones(i_arr.shape[0], dtype=bool)
-        else:
-            m = np.full(pairs.n_hat, np.inf)
-            np.minimum.at(m, i_arr, c_hi)
-            mask = (c_lo <= f_upper) & (c_lo <= m[i_arr]) & (c_hi - c_lo > POINT_SLACK)
-        if mask.any():
-            hat_world: dict[int, np.ndarray] = {}
-            bar_world: dict[int, np.ndarray] = {}
-            for idx in np.flatnonzero(mask):
-                i, j = int(i_arr[idx]), int(j_arr[idx])
-                vh = hat_world.get(i)
-                if vh is None:
-                    vh = transform_polytope(hat_polys[i], hat.s[i], hat.ins_rotation[i])
-                    hat_world[i] = vh
-                vb = bar_world.get(j)
-                if vb is None:
-                    vb = transform_polytope(bar_polys[j], bar.s[j], bar.ins_rotation[j])
-                    bar_world[j] = vb
-                slack = _pair_slack(hat_polys[i], bar_polys[j])
-                lo = max(0.0, gjk_min_sq_dist(vh, vb) - slack)
-                hi = max_vertex_sq_dist(vh, vb) + slack
-                c_lo[idx] = max(c_lo[idx], lo)
-                c_hi[idx] = min(c_hi[idx], hi)
-                if c_lo[idx] > c_hi[idx]:
-                    c_lo[idx] = c_hi[idx]
+    m = np.full(pairs.n_hat, np.inf)
+    np.minimum.at(m, i_arr, c_hi)
+    mask = (c_lo <= f_upper) & (c_lo <= m[i_arr]) & (c_hi - c_lo > POINT_SLACK)
+    hat_world: dict[int, np.ndarray] = {}
+    bar_world: dict[int, np.ndarray] = {}
+    for idx in np.flatnonzero(mask):
+        i, j = int(i_arr[idx]), int(j_arr[idx])
+        vh = hat_world.get(i)
+        if vh is None:
+            vh = transform_polytope(hat_polys[i], hat.s[i], hat.ins_rotation[i])
+            hat_world[i] = vh
+        vb = bar_world.get(j)
+        if vb is None:
+            vb = transform_polytope(bar_polys[j], bar.s[j], bar.ins_rotation[j])
+            bar_world[j] = vb
+        slack = _pair_slack(hat_polys[i], bar_polys[j])
+        lo = max(0.0, gjk_min_sq_dist(vh, vb) - slack)
+        hi = max_vertex_sq_dist(vh, vb) + slack
+        c_lo[idx] = max(c_lo[idx], lo)
+        c_hi[idx] = min(c_hi[idx], hi)
+        if c_lo[idx] > c_hi[idx]:
+            c_lo[idx] = c_hi[idx]
 
     return PairSet(n_hat=pairs.n_hat, i=i_arr.copy(), j=j_arr.copy(), c_lo=c_lo, c_hi=c_hi)

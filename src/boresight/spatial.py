@@ -20,8 +20,8 @@ def _as_vertex_set(points) -> np.ndarray:
 class NnIndex:
     """Exact nearest-neighbor index over a fixed set of 3D points.
 
-    Ties are broken towards the smallest original index. Immutable after
-    construction; concurrent queries are safe.
+    Equidistant neighbors are not ordered: on a tie any nearest point may be
+    returned. Immutable after construction; concurrent queries are safe.
     """
 
     def __init__(self, points):
@@ -36,35 +36,12 @@ class NnIndex:
     def points(self) -> np.ndarray:
         return self._points
 
-    def query(self, q) -> tuple[int, float]:
-        """Nearest point index and exact squared distance, smallest index on ties."""
-        q = np.asarray(q, dtype=float)
-        dist, j = self._tree.query(q)
-        # resolve ties deterministically
-        cands = self._tree.query_ball_point(q, dist * (1.0 + 1e-12) + 1e-300)
-        if len(cands) > 1:
-            diffs = self._points[cands] - q
-            d2 = np.einsum("ij,ij->i", diffs, diffs)
-            dmin = d2.min()
-            j = min(c for c, d in zip(cands, d2) if d == dmin)
-            return int(j), float(dmin)
-        diff = self._points[j] - q
-        return int(j), float(diff @ diff)
-
     def query_many(self, Q) -> tuple[np.ndarray, np.ndarray]:
         """Batch nearest neighbors: (indices, squared distances). No tie-break guarantee."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         dist, j = self._tree.query(Q)
         diffs = self._points[j] - Q
         return j, np.einsum("ij,ij->i", diffs, diffs)
-
-
-def build_index(points) -> NnIndex:
-    return NnIndex(points)
-
-
-def nearest_sq_dist(index: NnIndex, q) -> tuple[int, float]:
-    return index.query(q)
 
 
 def max_vertex_sq_dist(a, b) -> float:

@@ -15,8 +15,8 @@ import pytest
 
 from boresight.cloud import synth_generate
 from boresight.gopt import nsbb_solve
-from boresight.reduce import reduce_pairs
-from boresight.relax import PolytopeCache, compute_pair_set, pair_bounds, reach_box
+from boresight.reduce import PairSet, reduce_pairs
+from boresight.relax import compute_pair_set, reach_box
 from boresight.rotation import (
     AngleBox,
     EulerAngles,
@@ -89,38 +89,36 @@ def test_criterion_3_pair_bound_soundness(capsys):
     sampled squared distance within [c_lo - 1e-6, c_hi + 1e-6]; < 2 min."""
     hat, bar, _ = synth_generate(60, 150, PLANTED, 0.0, seed=300)
     box = AngleBox.symmetric_deg(2.0)
-    cache = PolytopeCache(box)
     rng = np.random.default_rng(301)
     t0 = time.monotonic()
-    violations = 0
+    samples = []
     for _ in range(200):
         i = int(rng.integers(len(hat)))
         j = int(rng.integers(len(bar)))
-        pb = pair_bounds(hat.point(i), bar.point(j), box, cache)
-        angles = box.sample(rng, 1000)
+        samples.append((i, j, box.sample(rng, 1000)))
+    keys = list(dict.fromkeys((i, j) for i, j, _ in samples))  # PairSet rejects repeats
+    n = len(keys)
+    pairs = PairSet(n_hat=len(hat), i=[k[0] for k in keys], j=[k[1] for k in keys],
+                    c_lo=np.zeros(n), c_hi=np.full(n, np.inf))
+    ps = compute_pair_set(hat, bar, box, pairs)
+    row = {key: k for k, key in enumerate(keys)}
+    violations = 0
+    for i, j, angles in samples:
+        k = row[(i, j)]
         Rs = rotation_matrices(angles[:, 0], angles[:, 1], angles[:, 2])
         p_hat = hat.s[i] + np.einsum("ij,njk,k->ni", hat.ins_rotation[i], Rs, hat.l[i])
         p_bar = bar.s[j] + np.einsum("ij,njk,k->ni", bar.ins_rotation[j], Rs, bar.l[j])
         d2 = np.einsum("ni,ni->n", p_hat - p_bar, p_hat - p_bar)
-        violations += int(np.sum(d2 < pb.c_lo - 1e-6) + np.sum(d2 > pb.c_hi + 1e-6))
+        violations += int(np.sum(d2 < ps.c_lo[k] - 1e-6) + np.sum(d2 > ps.c_hi[k] + 1e-6))
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 120.0
-    announce(capsys, 3, ok, f"{violations} violations, {elapsed:.1f}s")
+    announce(capsys, 3, ok, f"{violations} violations over {n} distinct pairs, {elapsed:.1f}s")
     assert ok
 
 
-def test_criterion_4_gjk_exactness(capsys):
+def test_criterion_4_gjk_exactness(capsys, qp_min_sq_dist):
     """100 random polytope pairs vs an independent QP oracle within 1e-6,
     plus the exact axis-aligned cube cases (4 and 18); < 30 s."""
-    cp = pytest.importorskip("cvxpy")
-
-    def oracle(a, b):
-        la = cp.Variable(a.shape[0], nonneg=True)
-        lb = cp.Variable(b.shape[0], nonneg=True)
-        prob = cp.Problem(cp.Minimize(cp.sum_squares(la @ a - lb @ b)),
-                          [cp.sum(la) == 1, cp.sum(lb) == 1])
-        prob.solve()
-        return max(float(prob.value), 0.0)
 
     def cube(center, half=0.5):
         c = np.asarray(center, dtype=float)
@@ -134,7 +132,7 @@ def test_criterion_4_gjk_exactness(capsys):
     for _ in range(100):
         a = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=2, size=3)
         b = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=2, size=3)
-        worst = max(worst, abs(gjk_min_sq_dist(a, b) - oracle(a, b)))
+        worst = max(worst, abs(gjk_min_sq_dist(a, b) - qp_min_sq_dist(a, b)))
     cube_min = gjk_min_sq_dist(cube([0, 0, 0]), cube([3, 0, 0]))
     cube_max = max_vertex_sq_dist(cube([0, 0, 0]), cube([3, 0, 0]))
     elapsed = time.monotonic() - t0
@@ -191,7 +189,7 @@ def recovery_run():
     t_ags = time.monotonic() - t0
     t0 = time.monotonic()
     report = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=0.1,
-                        f_upper_init=best, threads=8, time_limit=850.0)
+                        f_upper_init=best, time_limit=850.0)
     t_nsbb = time.monotonic() - t0
     return hat, bar, best, t_ags, report, t_nsbb
 

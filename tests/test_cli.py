@@ -144,7 +144,7 @@ class TestNsbb:
                             "--nd", "6", "--tmax", "60", "--rounds", "3")
         ags_obj = float(parse_report(ags_out)["objective"])
         code, out, _ = run(capsys, "nsbb", "--hat", hat, "--bar", bar,
-                           "--deterministic", "--ags-nd", "6", "--ags-rounds", "3")
+                           "--ags-nd", "6", "--ags-rounds", "3")
         assert code == EXIT_OK
         kv = parse_report(out)
         assert float(kv["f_upper"]) <= ags_obj + 1e-12

@@ -52,7 +52,7 @@ class TestCloud:
 
     def test_point_and_subset(self):
         c = identity_cloud(np.arange(12.0).reshape(4, 3))
-        assert np.allclose(c.point(2).l, [6, 7, 8])
+        assert np.allclose(c.l[2], [6, 7, 8])
         sub = c.subset(np.array([1, 3]))
         assert len(sub) == 2
         assert np.allclose(sub.l[1], [9, 10, 11])

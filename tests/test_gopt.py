@@ -3,6 +3,7 @@
 import math
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
@@ -147,11 +148,15 @@ class TestExternalAdapter:
         return str(path)
 
     def test_external_bound_used_when_larger(self, tiny_scene, tmp_path):
+        # builtin bound ~17.8 < LOWER 20 < midpoint objective ~25.0
         hat, bar, _ = tiny_scene
-        node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        cmd = self.write_script(tmp_path, 'echo "LOWER 42.0"')
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd)
-        assert lb == pytest.approx(42.0)
+        box = AngleBox.symmetric_deg(0.1)
+        node = make_node(hat, bar, box)
+        node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
+        cmd = self.write_script(tmp_path, 'echo "LOWER 20.0"')
+        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd,
+                              node_upper=node_upper)
+        assert lb == pytest.approx(20.0)
 
     def test_failing_adapter_falls_back_to_builtin(self, tiny_scene, tmp_path):
         hat, bar, _ = tiny_scene
@@ -168,6 +173,34 @@ class TestExternalAdapter:
         cmd = self.write_script(tmp_path, 'echo "no bound here"')
         lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd)
         assert lb == pytest.approx(builtin)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e300"])
+    def test_invalid_lower_falls_back_without_leaking(self, tiny_scene, tmp_path,
+                                                      monkeypatch, caplog, value):
+        hat, bar, _ = tiny_scene
+        box = AngleBox.symmetric_deg(0.1)
+        node = make_node(hat, bar, box)
+        builtin = node_lower_bound(node, mode="builtin")
+        node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
+        cmd = self.write_script(tmp_path, f'echo "LOWER {value}"')
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(model_dir))
+        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd,
+                              node_upper=node_upper)
+        assert lb == builtin
+        assert "LOWER" in caplog.text
+        assert list(model_dir.iterdir()) == []
+
+    def test_solver_ignores_bound_above_node_objective(self, tiny_scene, tmp_path):
+        hat, bar, _ = tiny_scene
+        box = AngleBox.symmetric_deg(0.5)
+        kwargs = dict(eps_abs=1e-4, eps_rel=1e-4, max_nodes=2)
+        ref = nsbb_solve(hat, bar, box, **kwargs)
+        cmd = self.write_script(tmp_path, 'echo "LOWER 1e300"')
+        rep = nsbb_solve(hat, bar, box, lb_mode="external", solver_cmd=cmd, **kwargs)
+        assert rep.converged_by == ref.converged_by == "node_limit"
+        assert (rep.f_lower, rep.f_upper) == (ref.f_lower, ref.f_upper)
 
     def test_missing_adapter_uses_builtin(self, tiny_scene):
         hat, bar, _ = tiny_scene
@@ -287,7 +320,7 @@ class TestNsbbSolve:
     def test_bound_sandwich_and_monotone_logs(self, tiny_scene):
         hat, bar, _ = tiny_scene
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5),
-                         eps_abs=1e-4, eps_rel=1e-4, deterministic=True, max_nodes=25)
+                         eps_abs=1e-4, eps_rel=1e-4, max_nodes=25)
         lowers = [e[0] for e in rep.bound_log]
         uppers = [e[1] for e in rep.bound_log]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))  # non-decreasing
@@ -300,7 +333,7 @@ class TestNsbbSolve:
     def test_terminal_gap_criteria(self, tiny_scene):
         hat, bar, _ = tiny_scene
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0),
-                         eps_rel=0.01, eps_abs=0.1, deterministic=True)
+                         eps_rel=0.01, eps_abs=0.1)
         assert rep.gap_abs <= 0.1 or rep.gap_rel <= 0.01
         assert rep.converged_by in ("gap_abs", "gap_rel")
 
@@ -308,7 +341,7 @@ class TestNsbbSolve:
         """No pruned box may contain angles beating the final upper bound."""
         hat, bar, _ = tiny_scene
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5),
-                         eps_abs=1e-4, eps_rel=1e-4, deterministic=True, max_nodes=20)
+                         eps_abs=1e-4, eps_rel=1e-4, max_nodes=20)
         rng = np.random.default_rng(0)
         checked = 0
         for box, _lb in rep.prune_log:
@@ -322,28 +355,19 @@ class TestNsbbSolve:
         hat, bar, _ = small_scene
         warm = evaluate_ub(hat, bar, EulerAngles.from_degrees(0.98, -0.52, 0.27))
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_rel=0.01,
-                         f_upper_init=warm, deterministic=True)
+                         f_upper_init=warm)
         assert rep.converged_by in ("gap_abs", "gap_rel", "exhausted")
         err = np.degrees(np.abs(rep.incumbent.angles.as_array() - PLANTED.as_array()))
         assert np.all(err <= 0.1)
 
     def test_deterministic_replay(self, tiny_scene):
         hat, bar, _ = tiny_scene
-        kwargs = dict(eps_abs=1e-3, eps_rel=1e-3, deterministic=True, max_nodes=10)
+        kwargs = dict(eps_abs=1e-3, eps_rel=1e-3, max_nodes=10)
         a = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5), **kwargs)
         b = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5), **kwargs)
         assert a.f_upper == b.f_upper and a.f_lower == b.f_lower
         assert a.nodes_explored == b.nodes_explored
         assert a.bound_log == b.bound_log
-
-    def test_threaded_matches_sequential_bounds(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        kwargs = dict(eps_abs=1e-2, eps_rel=1e-2, max_nodes=6)
-        seq = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5), threads=1, **kwargs)
-        par = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5), threads=4, **kwargs)
-        # gap guarantees are identical; incumbent timing may differ slightly
-        assert par.f_upper <= seq.f_upper + 1e-9 or seq.f_upper <= par.f_upper + 1e-9
-        assert par.f_lower <= par.f_upper
 
     def test_rejects_bad_tolerances(self, tiny_scene):
         hat, bar, _ = tiny_scene

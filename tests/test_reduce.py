@@ -139,7 +139,7 @@ class TestReductionSafetyOracle:
         truth = EulerAngles.from_degrees(1.0, -0.5, 0.25)
         hat, bar, _ = synth_generate(10, 20, truth, 0.0, seed=7)
         box = AngleBox.symmetric_deg(2.0)
-        ps = compute_pair_set(hat, bar, box, refine="all")
+        ps = compute_pair_set(hat, bar, box)
         res = reduce_pairs(ps, np.inf)  # objective rule disabled
         kept = set(zip(res.pairs.i.tolist(), res.pairs.j.tolist()))
         rng = np.random.default_rng(2)

@@ -3,20 +3,18 @@
 import math
 
 import numpy as np
-import pytest
 
 from boresight.cloud import synth_generate
+from boresight.reduce import PairSet
 from boresight.relax import (
     CONTAIN_SLACK,
-    PairBounds,
-    PolytopeCache,
     build_polytope,
     compute_pair_set,
-    pair_bounds,
     reach_box,
     transform_polytope,
 )
 from boresight.rotation import AngleBox, EulerAngles, rotation_from_angles, rotation_matrices
+from boresight.spatial import gjk_min_sq_dist, max_vertex_sq_dist
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
@@ -128,32 +126,43 @@ def scene_pair_samples(hat, bar, i, j, box, n=1000, seed=0):
     return np.einsum("ni,ni->n", d, d)
 
 
-class TestPairBounds:
-    def test_invalid_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            PairBounds(c_lo=2.0, c_hi=1.0)
+def pair_set_for(hat, bar, box, keys):
+    """compute_pair_set over the given distinct (i, j) pairs only."""
+    n = len(keys)
+    pairs = PairSet(n_hat=len(hat), i=[k[0] for k in keys], j=[k[1] for k in keys],
+                    c_lo=np.zeros(n), c_hi=np.full(n, np.inf))
+    return compute_pair_set(hat, bar, box, pairs)
 
+
+def polytope_pair_bounds(hat, bar, i, j, box):
+    """Oracle: exact distance bounds between the two transformed polytopes."""
+    vh = transform_polytope(build_polytope(hat.l[i], box), hat.s[i], hat.ins_rotation[i])
+    vb = transform_polytope(build_polytope(bar.l[j], box), bar.s[j], bar.ins_rotation[j])
+    return gjk_min_sq_dist(vh, vb), max_vertex_sq_dist(vh, vb)
+
+
+class TestPairBounds:
     def test_degenerate_box_is_exact(self, tiny_scene):
         hat, bar, _ = tiny_scene
         theta = EulerAngles.from_degrees(0.5, -0.25, 0.1)
         box = degenerate_box(theta)
         exact = scene_pair_samples(hat, bar, 0, 3, box, n=1)[0]
-        pb = pair_bounds(hat.point(0), bar.point(3), box)
-        assert pb.c_lo <= exact + 1e-6 and exact <= pb.c_hi + 1e-6
-        assert pb.c_hi - pb.c_lo <= 1e-6
+        ps = pair_set_for(hat, bar, box, [(0, 3)])
+        assert ps.c_lo[0] <= exact + 1e-6 and exact <= ps.c_hi[0] + 1e-6
+        assert ps.c_hi[0] - ps.c_lo[0] <= 1e-6
 
     def test_sampling_soundness_random_pairs(self, tiny_scene):
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(2.0)
-        cache = PolytopeCache(box)
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            i = int(rng.integers(len(hat)))
-            j = int(rng.integers(len(bar)))
-            pb = pair_bounds(hat.point(i), bar.point(j), box, cache)
+        keys = list(dict.fromkeys(
+            (int(rng.integers(len(hat))), int(rng.integers(len(bar)))) for _ in range(30)
+        ))
+        ps = pair_set_for(hat, bar, box, keys)
+        for k, (i, j) in enumerate(keys):
             d2 = scene_pair_samples(hat, bar, i, j, box, n=1000, seed=i * 100 + j)
-            assert d2.min() >= pb.c_lo - 1e-6
-            assert d2.max() <= pb.c_hi + 1e-6
+            assert d2.min() >= ps.c_lo[k] - 1e-6
+            assert d2.max() <= ps.c_hi[k] + 1e-6
 
     def test_shrinking_box_converges(self, tiny_scene):
         hat, bar, _ = tiny_scene
@@ -166,35 +175,25 @@ class TestPairBounds:
                 theta.beta - h, theta.beta + h,
                 theta.gamma - h, theta.gamma + h,
             )
-            pb = pair_bounds(hat.point(1), bar.point(5), box)
-            gaps.append(pb.c_hi - pb.c_lo)
+            ps = pair_set_for(hat, bar, box, [(1, 5)])
+            gaps.append(ps.c_hi[0] - ps.c_lo[0])
         assert gaps[-1] <= 0.01 * gaps[0] + 1e-5
         assert all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:]))
 
 
 class TestComputePairSet:
     def test_matches_exact_pair_bounds(self, tiny_scene):
+        # refined pairs carry the polytope bounds, the rest the looser
+        # enclosing-ball bounds: never tighter than the exact polytope bounds
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(2.0)
-        ps = compute_pair_set(hat, bar, box, refine="all")
-        cache = PolytopeCache(box)
+        ps = compute_pair_set(hat, bar, box)
         rng = np.random.default_rng(0)
         for k in rng.choice(ps.size, 50, replace=False):
             i, j = int(ps.i[k]), int(ps.j[k])
-            pb = pair_bounds(hat.point(i), bar.point(j), box, cache)
-            assert ps.c_lo[k] <= pb.c_lo + 1e-9
-            assert ps.c_hi[k] >= pb.c_hi - 1e-9
-
-    def test_cheap_bounds_sound_without_refinement(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(2.0)
-        ps = compute_pair_set(hat, bar, box, refine="none")
-        cache = PolytopeCache(box)
-        for k in range(0, ps.size, 37):
-            i, j = int(ps.i[k]), int(ps.j[k])
-            pb = pair_bounds(hat.point(i), bar.point(j), box, cache)
-            assert ps.c_lo[k] <= pb.c_lo + 1e-9
-            assert ps.c_hi[k] >= pb.c_hi - 1e-9
+            lo, hi = polytope_pair_bounds(hat, bar, i, j, box)
+            assert ps.c_lo[k] <= lo + 1e-9
+            assert ps.c_hi[k] >= hi - 1e-9
 
     def test_monotone_for_nested_boxes(self, tiny_scene):
         hat, bar, _ = tiny_scene
@@ -204,11 +203,6 @@ class TestComputePairSet:
         child = compute_pair_set(hat, bar, child_box, pairs=parent)
         assert np.all(child.c_lo >= parent.c_lo - 1e-15)
         assert np.all(child.c_hi <= parent.c_hi + 1e-15)
-
-    def test_rejects_unknown_mode(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        with pytest.raises(ValueError):
-            compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0), refine="maybe")
 
     def test_sampling_soundness_full_set(self, tiny_scene):
         hat, bar, _ = tiny_scene

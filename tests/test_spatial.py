@@ -5,39 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boresight.spatial import (
-    NnIndex,
-    build_index,
-    gjk_min_sq_dist,
-    max_vertex_sq_dist,
-    nearest_sq_dist,
-)
-
-try:
-    import cvxpy as cp
-
-    HAVE_CVXPY = True
-except ImportError:  # pragma: no cover - optional test dependency
-    HAVE_CVXPY = False
+from boresight.spatial import NnIndex, gjk_min_sq_dist, max_vertex_sq_dist
 
 
 def linear_scan_nn(points: np.ndarray, q: np.ndarray) -> tuple[int, float]:
-    """Independent oracle: brute-force argmin with smallest-index tie-break."""
+    """Independent oracle: brute-force argmin (first index on ties)."""
     d2 = np.einsum("ij,ij->i", points - q, points - q)
-    j = int(np.argmin(d2))  # argmin returns the first (smallest) index on ties
+    j = int(np.argmin(d2))
     return j, float(d2[j])
-
-
-def qp_min_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Independent oracle: convex QP over barycentric weights."""
-    la = cp.Variable(a.shape[0], nonneg=True)
-    lb = cp.Variable(b.shape[0], nonneg=True)
-    prob = cp.Problem(
-        cp.Minimize(cp.sum_squares(la @ a - lb @ b)),
-        [cp.sum(la) == 1, cp.sum(lb) == 1],
-    )
-    prob.solve()
-    return max(float(prob.value), 0.0)
 
 
 def cube(center, half=0.5):
@@ -50,52 +25,41 @@ def cube(center, half=0.5):
 
 class TestNnIndex:
     def test_single_point(self):
-        idx = build_index([[1.0, 2.0, 3.0]])
-        j, d2 = idx.query([0.0, 0.0, 0.0])
-        assert j == 0 and d2 == pytest.approx(14.0)
+        j, d2 = NnIndex([[1.0, 2.0, 3.0]]).query_many([0.0, 0.0, 0.0])
+        assert j[0] == 0 and d2[0] == pytest.approx(14.0)
 
     def test_exact_hit_gives_zero(self):
-        idx = build_index([[1, 0, 0], [0, 2, 0]])
-        j, d2 = nearest_sq_dist(idx, [0, 2, 0])
-        assert j == 1 and d2 == 0.0
+        j, d2 = NnIndex([[1, 0, 0], [0, 2, 0]]).query_many([0, 2, 0])
+        assert j[0] == 1 and d2[0] == 0.0
 
     def test_documented_example(self):
-        idx = build_index([[1, 0, 0], [0, 2, 0]])
-        j, d2 = idx.query([0, 0, 0])
-        assert j == 0 and d2 == pytest.approx(1.0)
-
-    def test_duplicate_points_smallest_index(self):
-        idx = build_index([[5, 5, 5], [1, 1, 1], [1, 1, 1]])
-        j, _ = idx.query([1.0, 1.0, 1.0])
-        assert j == 1
-
-    def test_equidistant_tie_break(self):
-        idx = build_index([[1, 0, 0], [-1, 0, 0]])
-        j, d2 = idx.query([0, 0, 0])
-        assert j == 0 and d2 == pytest.approx(1.0)
+        j, d2 = NnIndex([[1, 0, 0], [0, 2, 0]]).query_many([0, 0, 0])
+        assert j[0] == 0 and d2[0] == pytest.approx(1.0)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(1000, 3))
-        idx = build_index(pts)
-        for q in rng.normal(size=(100, 3)):
-            j, d2 = idx.query(q)
+        qs = rng.normal(size=(100, 3))
+        js, d2s = NnIndex(pts).query_many(qs)
+        for k, q in enumerate(qs):
             oj, od2 = linear_scan_nn(pts, q)
-            assert j == oj and d2 == pytest.approx(od2, abs=1e-12)
+            assert js[k] == oj and d2s[k] == pytest.approx(od2, abs=1e-12)
 
     def test_query_many_matches_single(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(200, 3))
         qs = rng.normal(size=(50, 3))
-        idx = build_index(pts)
+        idx = NnIndex(pts)
         js, d2s = idx.query_many(qs)
         for k, q in enumerate(qs):
-            _, d2 = idx.query(q)
-            assert d2s[k] == pytest.approx(d2, abs=1e-12)
+            j1, d21 = idx.query_many(q)
+            _, od2 = linear_scan_nn(pts, q)
+            assert j1[0] == js[k] and d21[0] == d2s[k]
+            assert d2s[k] == pytest.approx(od2, abs=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            build_index(np.zeros((0, 3)))
+            NnIndex(np.zeros((0, 3)))
 
 
 class TestGjk:
@@ -125,13 +89,12 @@ class TestGjk:
             b = rng.normal(size=(6, 3)) + 2.0
             assert gjk_min_sq_dist(a, b) == pytest.approx(gjk_min_sq_dist(b, a), abs=1e-9)
 
-    @pytest.mark.skipif(not HAVE_CVXPY, reason="cvxpy not installed")
-    def test_matches_qp_oracle(self):
+    def test_matches_qp_oracle(self, qp_min_sq_dist):
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=2, size=3)
             b = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=2, size=3)
-            # oracle tolerance dominated by the QP solver's own accuracy
+            # tolerance dominated by the QP solver's own accuracy
             assert gjk_min_sq_dist(a, b) == pytest.approx(qp_min_sq_dist(a, b), abs=1e-6)
 
     def test_sampled_hull_points_never_closer(self):
