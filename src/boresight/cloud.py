@@ -8,8 +8,7 @@ mapping frame (meters).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -162,9 +162,6 @@ class MiqcqpModel:
     objective_lin: list[tuple[float, str]]
     objective_const: float
 
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
     def binaries(self) -> list[Variable]:
         return [v for v in self.variables if v.kind == "B"]
 
@@ -484,6 +481,8 @@ def nsbb_solve(
     }
     bound_log: list[tuple[float, float]] = []
     prune_log: list[tuple[AngleBox, float]] = []
+    if f_upper <= eps_abs:  # the trivial bound 0 closes the gap: no pair set needed
+        return _final_report(state, 0.0, "gap_abs", [(0.0, f_upper)], prune_log, 0, t0)
     closed_lower = np.inf  # min lower bound among finalized (unbranchable) nodes
     next_id = itertools.count()
 

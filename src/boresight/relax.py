@@ -5,29 +5,60 @@ For a scanner-frame return l and an angle box, the reachable set
 the interval box K from the rotation enclosure, intersected with sphere
 tangent cuts (from above) and the box secant of the norm equality (from
 below). Pair bounds over the box follow from polytope-to-polytope distances.
+
+compute_pair_set works per box, in vectorised passes over fixed chunks of all
+points and all refined pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import Cloud
 from .reduce import PairSet
-from .rotation import AngleBox, rotation_interval
-from .spatial import gjk_min_sq_dist, max_vertex_sq_dist
+from .rotation import AngleBox, RotationInterval, rotation_interval
+from .spatial import hull_sq_dist_bounds
+# single-pair bounds re-exported under this module, where bench/tracer.py wraps them
+from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as max_vertex_sq_dist
 
 # All containment checks carry this absolute slack (meters); exported bounds
 # are widened by it so pruning stays conservative. Single-vertex (degenerate)
 # polytopes are exact up to rounding and get a much smaller widening.
 CONTAIN_SLACK = 1e-6
 POINT_SLACK = 1e-9
+# Points per polytope pass and pairs per lockstep GJK batch: fixed chunks bound
+# peak memory (256-pair chunks raised a 30x60 solve's peak RSS by 0.7 MB).
+POINT_CHUNK = 16
+PAIR_CHUNK = 64
 
 _VERTEX_DEDUP = 1e-9
 _FEAS_TOL = 5e-10
+# plane triples of an m-plane system; box corners in itertools.product order
+_TRIPLES = {m: np.array(list(itertools.combinations(range(m), 3))) for m in range(3, 17)}
+_CORNERS = np.array(list(itertools.product((False, True), repeat=3)))
+_BOX_NORMALS = np.stack([np.eye(3), -np.eye(3)], axis=1).reshape(6, 3)  # +x, -x, +y, ...
+
+
+def _chunks(n: int, size: int) -> list[slice]:
+    return [slice(k, k + size) for k in range(0, n, size)]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis, rounded as a @ b rounds for one row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pad(row: np.ndarray, pts: np.ndarray, n: int, fill: float):
+    """Points grouped by their (sorted) row into an (n, K, 3) array padded with
+    fill; also the count per row and each point's slot."""
+    counts = np.bincount(row, minlength=n)
+    pos = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
+    out = np.full((n, counts.max(initial=0), 3), fill)
+    out[row, pos] = pts
+    return out, counts, pos
 
 
 @dataclass(frozen=True)
@@ -44,18 +75,17 @@ class ReachBox:
         p = np.atleast_2d(points)
         return np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=1)
 
-    def corners(self) -> np.ndarray:
-        c = np.array(list(itertools.product(*zip(self.lo, self.hi))), dtype=float)
-        return c
+
+def _reach_bounds(ri: RotationInterval, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Interval matrix products of the rotation enclosure with every row of L (n, 3)."""
+    lo, hi = ri.lo * L[:, None, :], ri.hi * L[:, None, :]
+    return np.minimum(lo, hi).sum(axis=2), np.maximum(lo, hi).sum(axis=2)
 
 
 def reach_box(l: np.ndarray, box: AngleBox) -> ReachBox:
     """Interval matrix-vector product of the rotation enclosure with l."""
-    l = np.asarray(l, dtype=float)
-    ri = rotation_interval(box)
-    prod_lo = np.minimum(ri.lo * l, ri.hi * l)
-    prod_hi = np.maximum(ri.lo * l, ri.hi * l)
-    return ReachBox(lo=prod_lo.sum(axis=1), hi=prod_hi.sum(axis=1))
+    lo, hi = _reach_bounds(rotation_interval(box), np.asarray(l, dtype=float)[None])
+    return ReachBox(lo=lo[0], hi=hi[0])
 
 
 @dataclass(frozen=True)
@@ -70,7 +100,6 @@ class UncertaintyPolytope:
     normals: np.ndarray
     offsets: np.ndarray
     vertices: np.ndarray
-    l_norm_sq: float
     center: np.ndarray
     radius: float
 
@@ -86,95 +115,102 @@ class UncertaintyPolytope:
         return np.all(p @ self.normals.T <= self.offsets + tol, axis=1)
 
 
-def _enumerate_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Exact vertex enumeration of {x : normals @ x <= offsets} in 3D.
+def _halfspaces(L: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Bounding planes of every point's enclosure, valid ones first.
 
-    Intersects every triple of bounding planes and keeps the feasible
-    solutions; cheap and robust for the <= ~16 halfspaces built here.
+    Per point: the six faces of its reach box K, the secant of the norm
+    equality over K (pointing inward), and sphere tangents d @ x <= ||l|| at
+    the radial projections of the K centre and of the K corners outside the
+    sphere. Returns unit normals (n, 16, 3), offsets (n, 16) and the number
+    of valid planes (n,); a zero l gets none.
     """
-    m = normals.shape[0]
-    combos = np.array(list(itertools.combinations(range(m), 3)), dtype=int)
-    A3 = normals[combos]
-    b3 = offsets[combos]
-    dets = np.linalg.det(A3)
-    ok = np.abs(dets) > 1e-10
-    if not ok.any():
-        return np.empty((0, 3))
-    pts = np.linalg.solve(A3[ok], b3[ok][..., None])[..., 0]
-    feas = np.all(pts @ normals.T <= offsets + _FEAS_TOL, axis=1)
-    pts = pts[feas]
-    if pts.shape[0] == 0:
-        return pts
-    # deduplicate within tolerance, deterministic order
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    kept: list[np.ndarray] = []
-    for p in pts:
-        if all(np.sum((p - q) ** 2) > _VERTEX_DEDUP**2 for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    lsq = _dot(L, L)
+    lnorm = np.sqrt(lsq)[:, None]
+    # cut directions: the secant's, then the tangent points (K centre, corners)
+    cut = np.concatenate([-(lo + hi)[:, None], 0.5 * (lo + hi)[:, None],
+                          np.where(_CORNERS, hi[:, None], lo[:, None])], axis=1)
+    norm = np.sqrt(_dot(cut, cut))
+    floor = np.concatenate([np.full_like(lnorm, 1e-12), 1e-12 * lnorm, np.repeat(lnorm, 8, 1)], 1)
+    valid = np.concatenate([np.ones((len(L), 6), dtype=bool), norm > floor], 1) & (lnorm > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = np.concatenate([np.broadcast_to(_BOX_NORMALS, (len(L), 6, 3)),
+                                  cut / norm[..., None]], axis=1)
+        offsets = np.concatenate([np.stack([hi, -lo], axis=2).reshape(-1, 6),
+                                  (-lsq[:, None] - _dot(lo, hi)[:, None]) / norm[:, :1],
+                                  np.repeat(lnorm, 9, axis=1)], axis=1)
+    order = np.argsort(~valid, axis=1, kind="stable")
+    return (np.take_along_axis(normals, order[..., None], axis=1),
+            np.take_along_axis(offsets, order, axis=1), valid.sum(axis=1))
+
+
+def _first_of_clusters(row: np.ndarray, pts: np.ndarray, n: int) -> np.ndarray:
+    """Greedy duplicate filter over n rows, in the given order: a point is kept
+    unless it lies within _VERTEX_DEDUP of an earlier kept point of its row."""
+    P, _, pos = _pad(row, pts, n, np.nan)
+    close = np.sum((P[:, :, None] - P[:, None]) ** 2, axis=3) <= _VERTEX_DEDUP**2
+    close &= np.tri(P.shape[1], k=-1, dtype=bool)  # earlier points only
+    kept, dropped = np.zeros((2,) + close.shape[:2], dtype=bool)
+    while not np.all(kept | dropped):
+        undecided = ~(kept | dropped)
+        dropped |= undecided & np.any(close & kept[:, None], axis=2)
+        kept |= undecided & ~np.any(close & ~dropped[:, None], axis=2)
+    return kept[row, pos]
+
+
+def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of {x : A[r] @ x <= b[r]} for a batch of systems of m planes.
+
+    Intersects every plane triple, keeps the feasible solutions and drops
+    near-duplicates. Returns each vertex's row and the vertices, ordered by
+    row and then lexicographically.
+    """
+    combos = _TRIPLES[A.shape[1]]
+    A3, b3 = A[:, combos], b[:, combos]
+    ok = np.abs(np.linalg.det(A3)) > 1e-10
+    X = np.full(b3.shape, np.nan)
+    X[ok] = np.linalg.solve(A3[ok], b3[ok][..., None])[..., 0]
+    ok &= np.all(X @ A.transpose(0, 2, 1) <= b[:, None, :] + _FEAS_TOL, axis=2)
+    row, pts = np.nonzero(ok)[0], X[ok]
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], row))
+    row, pts = row[order], pts[order]
+    keep = _first_of_clusters(row, pts, len(A))
+    return row[keep], pts[keep]
+
+
+def _polytopes(L: np.ndarray, ri: RotationInterval):
+    """Enclosures of the reachable positions of every row of L over one box:
+    planes (normals, offsets, counts), vertices (n, K, 3) padded with the
+    centre, vertex counts, centres and radii. Points with the same number of
+    planes go through _vertices together, in chunks."""
+    lo, hi = _reach_bounds(ri, L)
+    A, b, m = _halfspaces(L, lo, hi)
+    rows, pts = [np.flatnonzero(m == 0)], [np.zeros((int(np.sum(m == 0)), 3))]
+    for mm in np.unique(m[m > 0]):
+        idx = np.flatnonzero(m == mm)
+        for s in _chunks(idx.size, POINT_CHUNK):
+            r, p = _vertices(A[idx[s], :mm], b[idx[s], :mm])
+            rows.append(idx[s][r])
+            pts.append(p)
+    # numerically over-tight cuts leave no vertex: fall back to the box alone,
+    # still a valid enclosure, whose 8 corners always pass
+    empty = np.setdiff1d(np.arange(len(L)), np.concatenate(rows))
+    m[empty] = 6
+    r, p = _vertices(A[empty, :6], b[empty, :6])
+    rows.append(empty[r])
+    pts.append(p)
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    V, nv, _ = _pad(row[order], np.concatenate(pts)[order], len(L), 0.0)
+    center = V.sum(axis=1) / nv[:, None]
+    V = np.where((np.arange(V.shape[1]) < nv[:, None])[..., None], V, center[:, None])
+    radius = np.sqrt(np.max(np.sum((V - center[:, None]) ** 2, axis=2), axis=1))
+    return A, b, m, V, nv, center, radius
 
 
 def build_polytope(l: np.ndarray, box: AngleBox) -> UncertaintyPolytope:
     """Convex enclosure of the reachable positions of l over the angle box."""
-    l = np.asarray(l, dtype=float)
-    lsq = float(l @ l)
-    if lsq == 0.0:
-        v = np.zeros((1, 3))
-        return UncertaintyPolytope(
-            normals=np.empty((0, 3)), offsets=np.empty(0), vertices=v,
-            l_norm_sq=0.0, center=np.zeros(3), radius=0.0,
-        )
-    lnorm = math.sqrt(lsq)
-    k = reach_box(l, box)
-
-    normals: list[np.ndarray] = []
-    offsets: list[float] = []
-    eye = np.eye(3)
-    for e in range(3):
-        normals.append(eye[e])
-        offsets.append(float(k.hi[e]))
-        normals.append(-eye[e])
-        offsets.append(float(-k.lo[e]))
-
-    # secant (concave envelope of the norm equality over K), pointing inward
-    n_sec = -(k.lo + k.hi)
-    b_sec = -lsq - float(k.lo @ k.hi)
-    nrm = float(np.linalg.norm(n_sec))
-    if nrm > 1e-12:
-        normals.append(n_sec / nrm)
-        offsets.append(b_sec / nrm)
-
-    # tangent cuts at radial projections of the K center and of K corners
-    # outside the sphere: unit normal d gives d @ x <= ||l||
-    def add_tangent(x: np.ndarray) -> None:
-        nx = float(np.linalg.norm(x))
-        if nx > 1e-12 * lnorm:
-            normals.append(x / nx)
-            offsets.append(lnorm)
-
-    add_tangent(0.5 * (k.lo + k.hi))
-    for corner in k.corners():
-        if float(np.linalg.norm(corner)) > lnorm:
-            add_tangent(corner)
-
-    A = np.array(normals)
-    b = np.array(offsets)
-    vertices = _enumerate_vertices(A, b)
-    if vertices.shape[0] == 0:
-        # numerically over-tight cuts; fall back to the box alone (still a
-        # valid enclosure)
-        A = A[:6]
-        b = b[:6]
-        vertices = _enumerate_vertices(A, b)
-        if vertices.shape[0] == 0:
-            vertices = np.atleast_2d(0.5 * (k.lo + k.hi))
-    center = vertices.mean(axis=0)
-    radius = float(np.sqrt(np.max(np.sum((vertices - center) ** 2, axis=1))))
-    return UncertaintyPolytope(
-        normals=A, offsets=b, vertices=vertices,
-        l_norm_sq=lsq, center=center, radius=radius,
-    )
+    A, b, m, V, nv, c, r = _polytopes(np.asarray(l, dtype=float)[None], rotation_interval(box))
+    return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]], c[0], float(r[0]))
 
 
 def transform_polytope(p: UncertaintyPolytope, s: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -182,8 +218,14 @@ def transform_polytope(p: UncertaintyPolytope, s: np.ndarray, R: np.ndarray) -> 
     return np.asarray(s, dtype=float) + p.vertices @ np.asarray(R, dtype=float).T
 
 
-def _pair_slack(a: UncertaintyPolytope, b: UncertaintyPolytope) -> float:
-    return POINT_SLACK if (a.is_point and b.is_point) else CONTAIN_SLACK
+def _world_polytopes(cloud: Cloud, ids: np.ndarray, ri: RotationInterval):
+    """Polytopes of the listed points placed by their INS pose: world centres,
+    radii, vertices relative to the centre (padding sits at the centre) and
+    whether each polytope is a single point."""
+    _, _, _, V, nv, c, r = _polytopes(cloud.l[ids], ri)
+    R = cloud.ins_rotation[ids]
+    return (cloud.s[ids] + np.einsum("nij,nj->ni", R, c), r,
+            np.einsum("nij,nkj->nki", R, V - c[:, None]), nv == 1)
 
 
 def compute_pair_set(
@@ -195,38 +237,19 @@ def compute_pair_set(
 ) -> PairSet:
     """Bounds over the box for every candidate pair, vectorized.
 
-    Cheap enclosing-ball bounds are computed for all pairs; exact
-    polytope-distance bounds are then computed only where they could change a
-    reduction decision. Passing an existing PairSet restricts the candidates
-    and intersects the new bounds with the old ones, which keeps bounds
-    monotone for nested boxes.
+    Cheap enclosing-ball and directional-extent bounds are computed for all
+    pairs; exact polytope-distance bounds are then computed only where they
+    could change a reduction decision. Passing an existing PairSet restricts
+    the candidates and intersects the new bounds with the old ones, which
+    keeps bounds monotone for nested boxes.
     """
     if pairs is None:
         pairs = PairSet.dense(len(hat), len(bar))
-    i_arr, j_arr = pairs.i, pairs.j
-    prev_lo, prev_hi = pairs.c_lo, pairs.c_hi
-
-    hat_ids = np.unique(i_arr)
-    bar_ids = np.unique(j_arr)
-    hat_polys = {int(i): build_polytope(hat.l[i], box) for i in hat_ids}
-    bar_polys = {int(j): build_polytope(bar.l[j], box) for j in bar_ids}
-
-    def world_geometry(cloud, polys, ids):
-        kmax = max(polys[int(i)].vertices.shape[0] for i in ids)
-        centers = np.empty((len(cloud), 3))
-        radii = np.empty(len(cloud))
-        verts = np.zeros((len(cloud), kmax, 3))
-        for i in ids:
-            p = polys[int(i)]
-            c = cloud.s[i] + cloud.ins_rotation[i] @ p.center
-            centers[i] = c
-            radii[i] = p.radius
-            vw = cloud.s[i] + p.vertices @ cloud.ins_rotation[i].T
-            verts[i, : vw.shape[0]] = vw - c  # padded slots stay at the center
-        return centers, radii, verts
-
-    hc, hr, hv = world_geometry(hat, hat_polys, hat_ids)
-    bc, br, bv = world_geometry(bar, bar_polys, bar_ids)
+    ri = rotation_interval(box)
+    hat_ids, i_arr = np.unique(pairs.i, return_inverse=True)  # i_arr, j_arr index the ids
+    bar_ids, j_arr = np.unique(pairs.j, return_inverse=True)
+    hc, hr, hv, h_point = _world_polytopes(hat, hat_ids, ri)
+    bc, br, bv, b_point = _world_polytopes(bar, bar_ids, ri)
 
     delta = bc[j_arr] - hc[i_arr]
     d = np.linalg.norm(delta, axis=1)
@@ -236,38 +259,26 @@ def compute_pair_set(
     # tighter lower bound from directional extents along the center line:
     # separation >= center distance minus each polytope's support toward the
     # other (exact for the projection onto that direction)
-    pos = d > 1e-12
-    if pos.any():
-        u = delta[pos] / d[pos, None]
-        ext_h = np.einsum("pkd,pd->pk", hv[i_arr[pos]], u).max(axis=1)
-        ext_b = np.einsum("pkd,pd->pk", bv[j_arr[pos]], -u).max(axis=1)
-        sep = d[pos] - ext_h - ext_b
-        c_lo[pos] = np.maximum(c_lo[pos], np.maximum(0.0, sep) ** 2)
-    c_lo = np.maximum(c_lo, prev_lo)
-    c_hi = np.minimum(c_hi, prev_hi)
-    c_lo = np.minimum(c_lo, c_hi)
+    for s in _chunks(d.size, PAIR_CHUNK):
+        pos = d[s] > 1e-12
+        u = delta[s] / np.where(pos, d[s], 1.0)[:, None]
+        ext_h = np.einsum("pkd,pd->pk", hv[i_arr[s]], u).max(axis=1)
+        ext_b = np.einsum("pkd,pd->pk", bv[j_arr[s]], -u).max(axis=1)
+        sep = np.maximum(0.0, d[s] - ext_h - ext_b) ** 2
+        c_lo[s] = np.where(pos, np.maximum(c_lo[s], sep), c_lo[s])
+    c_hi = np.minimum(c_hi, pairs.c_hi)
+    c_lo = np.minimum(np.maximum(c_lo, pairs.c_lo), c_hi)
 
-    m = np.full(pairs.n_hat, np.inf)
+    m = np.full(hat_ids.size, np.inf)
     np.minimum.at(m, i_arr, c_hi)
-    mask = (c_lo <= f_upper) & (c_lo <= m[i_arr]) & (c_hi - c_lo > POINT_SLACK)
-    hat_world: dict[int, np.ndarray] = {}
-    bar_world: dict[int, np.ndarray] = {}
-    for idx in np.flatnonzero(mask):
-        i, j = int(i_arr[idx]), int(j_arr[idx])
-        vh = hat_world.get(i)
-        if vh is None:
-            vh = transform_polytope(hat_polys[i], hat.s[i], hat.ins_rotation[i])
-            hat_world[i] = vh
-        vb = bar_world.get(j)
-        if vb is None:
-            vb = transform_polytope(bar_polys[j], bar.s[j], bar.ins_rotation[j])
-            bar_world[j] = vb
-        slack = _pair_slack(hat_polys[i], bar_polys[j])
-        lo = max(0.0, gjk_min_sq_dist(vh, vb) - slack)
-        hi = max_vertex_sq_dist(vh, vb) + slack
-        c_lo[idx] = max(c_lo[idx], lo)
-        c_hi[idx] = min(c_hi[idx], hi)
-        if c_lo[idx] > c_hi[idx]:
-            c_lo[idx] = c_hi[idx]
-
-    return PairSet(n_hat=pairs.n_hat, i=i_arr.copy(), j=j_arr.copy(), c_lo=c_lo, c_hi=c_hi)
+    refine = np.flatnonzero((c_lo <= f_upper) & (c_lo <= m[i_arr]) & (c_hi - c_lo > POINT_SLACK))
+    for s in _chunks(refine.size, PAIR_CHUNK):
+        p = refine[s]
+        i, j = i_arr[p], j_arr[p]
+        # both hulls relative to the hat polytope's centre
+        lo, hi = hull_sq_dist_bounds(hv[i], bv[j] + delta[p, None])
+        slack = np.where(h_point[i] & b_point[j], POINT_SLACK, CONTAIN_SLACK)
+        c_lo[p] = np.maximum(c_lo[p], np.maximum(0.0, lo - slack))
+        c_hi[p] = np.minimum(c_hi[p], hi + slack)
+    c_lo = np.minimum(c_lo, c_hi)
+    return PairSet(n_hat=pairs.n_hat, i=pairs.i.copy(), j=pairs.j.copy(), c_lo=c_lo, c_hi=c_hi)

@@ -46,126 +46,117 @@ class NnIndex:
 
 def max_vertex_sq_dist(a, b) -> float:
     """Max squared distance between conv(a) and conv(b); attained at vertices."""
-    a = _as_vertex_set(a)
-    b = _as_vertex_set(b)
-    d = a[:, None, :] - b[None, :, :]
-    return float(np.einsum("ijk,ijk->ij", d, d).max())
+    return float(hull_sq_dist_bounds(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[1][0])
 
 
-_SUBSETS = {
-    m: [s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
-    for m in range(1, 5)
-}
+def gjk_min_sq_dist(a, b) -> float:
+    """Min squared distance between conv(a) and conv(b); 0 when the hulls intersect."""
+    return float(hull_sq_dist_bounds(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[0][0])
 
 
-def _solve_affine_weights(G: list[list[float]], subset: tuple[int, ...]) -> list[float] | None:
-    """Barycentric weights minimizing the quadratic form over an affine hull.
+# The faces of a simplex of up to 4 points, one index array per face size,
+# each in itertools.combinations order; _FACE_IDX (zero-padded) and
+# _FACE_SIZE list all 15 in that order.
+_FACES = [np.array(list(itertools.combinations(range(4), r))) for r in range(1, 5)]
+_FACE_IDX = np.array([list(f) + [0] * (4 - len(f)) for fs in _FACES for f in fs])
+_FACE_SIZE = np.array([len(f) for fs in _FACES for f in fs])
+_GJK_TOL, _GJK_MAX_ITER = 1e-9, 200
 
-    Solves the stationarity system (2 G_sub lam + mu 1 = 0, sum lam = 1) by
-    Gauss-Jordan elimination with partial pivoting; returns None when the
-    subset is affinely degenerate.
+
+def _closest_on_simplex(S: np.ndarray, n: np.ndarray):
+    """Closest point to the origin of conv(S[p, :n[p]]) for a stack of simplices.
+
+    Every face is a candidate: the point of its affine hull nearest the
+    origin counts when its barycentric weights are nonnegative, and the
+    nearest candidate wins, the first in face order on ties. The weights come
+    from the normal equations of the face's edge vectors in closed form (the
+    tetrahedron solves for the origin directly); a degenerate face gives an
+    infinite or undefined weight and drops out, since one of its own faces
+    holds its closest point. Returns the points (P, 3), the supporting faces'
+    points moved to the front of the slots (P, 4, 3) and their sizes (P,).
     """
-    k = len(subset)
-    n = k + 1
-    M = [[0.0] * (n + 1) for _ in range(n)]
-    for r, a in enumerate(subset):
-        row = M[r]
-        Ga = G[a]
-        for c, b in enumerate(subset):
-            row[c] = 2.0 * Ga[b]
-        row[k] = 1.0
-    last = M[k]
-    for c in range(k):
-        last[c] = 1.0
-    last[n] = 1.0
-    for col in range(n):
-        piv = col
-        pmax = abs(M[col][col])
-        for r in range(col + 1, n):
-            v = abs(M[r][col])
-            if v > pmax:
-                piv, pmax = r, v
-        if pmax < 1e-300:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        prow = M[col]
-        pv = prow[col]
-        for r in range(n):
-            if r != col:
-                f = M[r][col] / pv
-                if f != 0.0:
-                    row = M[r]
-                    for c2 in range(col, n + 1):
-                        row[c2] -= f * prow[c2]
-    return [M[r][n] / M[r][r] for r in range(k)]
+    xs, nns = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for face in _FACES:
+            Y = S[:, face]
+            y0 = Y[:, :, 0]
+            E = Y[:, :, 1:] - y0[:, :, None]
+            k = face.shape[1] - 1
+            if k == 3:
+                # rows e2 x e3, e3 x e1, e1 x e2: Cramer's rule for E^T mu = -y0
+                a, b = E[:, :, [1, 2, 0]], E[:, :, [2, 0, 1]]
+                C = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+                mu = -np.einsum("pfid,pfd->pfi", C, y0) / np.einsum(
+                    "pfd,pfd->pf", E[:, :, 0], C[:, :, 0])[..., None]
+            else:
+                N = np.einsum("pfid,pfjd->pfij", E, E)
+                r = -np.einsum("pfid,pfd->pfi", E, y0)
+                if k < 2:  # a vertex (no weights to solve for) or an edge
+                    mu = r / np.diagonal(N, axis1=2, axis2=3)
+                else:
+                    det = N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0]
+                    mu = np.stack([r[..., 0] * N[..., 1, 1] - N[..., 0, 1] * r[..., 1],
+                                   N[..., 0, 0] * r[..., 1] - r[..., 0] * N[..., 1, 0]], axis=2)
+                    mu /= det[..., None]
+            x = y0 + np.einsum("pfi,pfid->pfd", mu, E)
+            nn = np.einsum("pfd,pfd->pf", x, x)
+            ok = (np.all(mu >= -1e-12, axis=2) & (1.0 - mu.sum(axis=2) >= -1e-12)
+                  & (face.max(axis=1) < n[:, None]))
+            xs.append(x)
+            nns.append(np.where(ok, nn, np.inf))
+    best = np.argmin(np.concatenate(nns, axis=1), axis=1)
+    rows = np.arange(S.shape[0])
+    v = np.concatenate(xs, axis=1)[rows, best]
+    return v, S[rows[:, None], _FACE_IDX[best]], _FACE_SIZE[best]
 
 
-def _closest_on_simplex(pts: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Closest point of conv(pts) to the origin and a minimal supporting subset.
+def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max squared distance between conv(A[p]) and conv(B[p]) for each p.
 
-    Enumerates the faces of the (at most 3-) simplex: for each vertex subset,
-    solves the affine minimization and keeps nonnegative-coefficient
-    candidates. Robust to degenerate (collinear/coplanar) simplices. All
-    inner-product arithmetic runs on the Gram matrix in plain floats, which
-    keeps the per-call cost low for the many tiny systems involved.
+    A (P, Ka, 3) and B (P, Kb, 3) are stacks of vertex sets; a ragged set is
+    padded with a point of its own hull (such as its centroid), which changes
+    neither distance. The max is attained at a vertex pair. The min is the
+    distance variant of the Gilbert-Johnson-Keerthi iteration over the
+    Minkowski difference, run on all P pairs in lockstep: every iteration
+    takes one support point per pair and one closest-point step over all
+    faces of each pair's simplex, and a pair leaves the batch when it
+    terminates. The min is exact to tolerance, and 0 when the hulls intersect.
     """
-    m = len(pts)
-    G = [[float(pts[a] @ pts[b]) for b in range(m)] for a in range(m)]
-    best: tuple[float, list[float], tuple[int, ...]] | None = None
-    for subset in _SUBSETS[m]:
-        if len(subset) == 1:
-            a = subset[0]
-            nn = G[a][a]
-            if best is None or nn < best[0] - 1e-30:
-                best = (nn, [1.0], subset)
-            continue
-        lam = _solve_affine_weights(G, subset)
-        if lam is None or any(w < -1e-12 for w in lam):
-            continue
-        nn = 0.0
-        for r, a in enumerate(subset):
-            Ga = G[a]
-            for c, b in enumerate(subset):
-                nn += lam[r] * lam[c] * Ga[b]
-        if best is None or nn < best[0] - 1e-30:
-            best = (nn, lam, subset)
-    assert best is not None
-    _, lam, subset = best
-    point = lam[0] * pts[subset[0]]
-    for r in range(1, len(subset)):
-        point = point + lam[r] * pts[subset[r]]
-    return point, [pts[a] for a in subset]
+    hi = np.zeros(len(A))
+    for a in A.transpose(1, 0, 2):  # one vertex of every A[p] at a time: O(P * Kb) memory
+        d = a[:, None] - B
+        hi = np.maximum(hi, np.einsum("pld,pld->pl", d, d).max(axis=1))
+    lo, live = np.empty(len(A)), np.arange(len(A))
+    v = A[:, 0] - B[:, 0]
+    S, n = np.zeros((len(A), 4, 3)), np.zeros(len(A), dtype=int)
+    prev = np.full(len(A), np.inf)  # simplex updates are non-increasing once seeded
 
+    def retire(done, value):
+        nonlocal live, A, B, v, S, n, prev
+        lo[live[done]] = value[done]
+        keep = ~done
+        live, A, B, v, S, n, prev = (x[keep] for x in (live, A, B, v, S, n, prev))
+        return keep
 
-def gjk_min_sq_dist(a, b, tol: float = 1e-9, max_iter: int = 200) -> float:
-    """Exact (to tolerance) min squared distance between conv(a) and conv(b).
-
-    Distance variant of the Gilbert-Johnson-Keerthi iteration over the
-    Minkowski difference, with face enumeration as the distance sub-algorithm.
-    Returns 0 when the hulls intersect.
-    """
-    a = _as_vertex_set(a)
-    b = _as_vertex_set(b)
-    v = a[0] - b[0]
-    simplex: list[np.ndarray] = []
-    prev = np.inf  # simplex updates are non-increasing once the simplex is seeded
-    for it in range(max_iter):
-        vv = float(v @ v)
-        if vv <= tol * tol:
-            return 0.0
+    for it in range(_GJK_MAX_ITER):
+        if not live.size:
+            return lo, hi
+        vv = np.einsum("pd,pd->p", v, v)
+        rows = np.arange(live.size)
         # support of the Minkowski difference along -v
-        w = a[int(np.argmax(a @ (-v)))] - b[int(np.argmax(b @ v))]
-        if vv - float(v @ w) <= tol * vv:
-            break
-        wt = (w[0], w[1], w[2])
-        if any(wt == (s[0], s[1], s[2]) for s in simplex):
-            break
-        simplex.append(w)
-        v, simplex = _closest_on_simplex(simplex)
-        nn = float(v @ v)
-        if len(simplex) == 4 or nn <= tol * tol:
-            return 0.0
-        if it > 0 and nn >= prev * (1.0 - 1e-14):
-            break
+        w = (A[rows, np.argmax(np.einsum("pkd,pd->pk", A, -v), axis=1)]
+             - B[rows, np.argmax(np.einsum("pkd,pd->pk", B, v), axis=1)])
+        touching = vv <= _GJK_TOL**2
+        repeated = np.any(np.all(S == w[:, None], axis=2) & (np.arange(4) < n[:, None]), axis=1)
+        keep = retire(touching | (vv - np.einsum("pd,pd->p", v, w) <= _GJK_TOL * vv) | repeated,
+                      np.where(touching, 0.0, vv))
+        w = w[keep]
+        S[np.arange(live.size), n] = w
+        v, S, n = _closest_on_simplex(S, n + 1)
+        nn = np.einsum("pd,pd->p", v, v)
+        inside = (n == 4) | (nn <= _GJK_TOL**2)
+        stalled = (it > 0) & (nn >= prev * (1.0 - 1e-14))
         prev = nn
-    return float(v @ v)
+        retire(inside | stalled, np.where(inside, 0.0, nn))
+    lo[live] = np.einsum("pd,pd->p", v, v)
+    return lo, hi

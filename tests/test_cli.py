@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, report grammar, exit codes."""
 
-import numpy as np
 import pytest
 
 from boresight.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main

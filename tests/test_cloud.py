@@ -1,7 +1,5 @@
 """Cloud data model, fused-file I/O, georeferencing, cropping, synthetic scenes."""
 
-import math
-
 import numpy as np
 import pytest
 

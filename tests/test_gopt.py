@@ -1,14 +1,14 @@
 """Branch-and-bound solver, quadratic model construction, and model export."""
 
 import math
-import os
 import stat
 import tempfile
 
 import numpy as np
 import pytest
 
-from boresight.cloud import georeference, synth_generate
+from boresight import gopt
+from boresight.cloud import georeference
 from boresight.gopt import (
     MiqcqpModel,
     Node,
@@ -24,7 +24,7 @@ from boresight.gopt import (
 )
 from boresight.reduce import PairSet, reduce_pairs
 from boresight.relax import compute_pair_set
-from boresight.rotation import AngleBox, EulerAngles, rotation_matrices
+from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import evaluate_ub
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
@@ -309,6 +309,20 @@ class TestNsbbSolve:
         assert rep.converged_by == "gap_abs"
         assert rep.gap_abs == 0.0
         assert rep.nodes_explored == 0
+
+    def test_incumbent_within_eps_abs_returns_before_root_pairs(self, tiny_scene, monkeypatch):
+        hat, bar, _ = tiny_scene
+        warm = evaluate_ub(hat, bar, PLANTED)  # noise-free scene: objective ~0
+
+        def no_pair_set(*args, **kwargs):
+            raise AssertionError("root pair set built")
+
+        monkeypatch.setattr(gopt, "compute_pair_set", no_pair_set)
+        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=0.1, f_upper_init=warm)
+        assert rep.converged_by == "gap_abs"
+        assert rep.f_lower == 0.0 and rep.f_upper == warm.objective <= 0.1
+        assert rep.pairs_root == 0 and rep.nodes_explored == 0
+        assert rep.bound_log == [(0.0, rep.f_upper)]
 
     def test_huge_tolerance_returns_root_bounds(self, tiny_scene):
         hat, bar, _ = tiny_scene

@@ -3,17 +3,28 @@
 import math
 
 import numpy as np
+import pytest
 
-from boresight.cloud import synth_generate
+from boresight import relax
+from boresight.cloud import Cloud, synth_generate
+from boresight.gopt import nsbb_solve
 from boresight.reduce import PairSet
 from boresight.relax import (
+    PAIR_CHUNK,
+    POINT_CHUNK,
     CONTAIN_SLACK,
     build_polytope,
     compute_pair_set,
     reach_box,
     transform_polytope,
 )
-from boresight.rotation import AngleBox, EulerAngles, rotation_from_angles, rotation_matrices
+from boresight.rotation import (
+    AngleBox,
+    EulerAngles,
+    rotation_from_angles,
+    rotation_interval,
+    rotation_matrices,
+)
 from boresight.spatial import gjk_min_sq_dist, max_vertex_sq_dist
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
@@ -220,3 +231,122 @@ class TestComputePairSet:
             d2 = np.einsum("ijk,ijk->ij", d, d)
             assert np.all(d2 >= lo - 1e-6)
             assert np.all(d2 <= hi + 1e-6)
+
+
+def greedy_dedup(pts, tol):
+    """Oracle: keep a point unless it lies within tol of an earlier kept one."""
+    kept = []
+    for p in pts:
+        if all(np.sum((p - q) ** 2) > tol**2 for q in kept):
+            kept.append(p)
+    return kept
+
+
+class TestBatchedPolytopes:
+    def test_mixed_batch_properties(self):
+        """One batch, more rows than one point chunk, holding l = 0 and points
+        whose enclosures have different plane counts; every row passes the
+        single-polytope checks."""
+        box = AngleBox.symmetric_deg(2.0)
+        rng = np.random.default_rng(31)
+        L = np.vstack([np.zeros(3), rng.normal(scale=20.0, size=(40, 3)), [[0.0, 0.0, -30.0]]])
+        assert len(L) > POINT_CHUNK
+        A, b, m, V, nv, center, radius = relax._polytopes(L, rotation_interval(box))
+        assert m[0] == 0 and nv[0] == 1 and np.all(V[0] == 0.0)
+        assert len(set(m[1:].tolist())) > 1
+        for k in range(1, len(L)):
+            verts = V[k, : nv[k]]
+            assert np.all(verts @ A[k, : m[k]].T <= b[k, : m[k]] + 1e-8)
+            assert np.all(V[k, nv[k]:] == center[k])  # padding sits at the centre
+            assert np.linalg.norm(verts - center[k], axis=1).max() <= radius[k] + 1e-12
+            single = build_polytope(L[k], box)
+            assert np.array_equal(single.vertices, verts)
+            assert np.array_equal(single.normals, A[k, : m[k]])
+            pts = sample_rotated(L[k], box, 2000, seed=k)
+            assert single.contains(pts, tol=CONTAIN_SLACK).all()
+
+    def test_degenerate_box_batch_is_exact(self):
+        a = EulerAngles(0.01, -0.02, 0.005)
+        L = np.array([[5.0, 1.0, -2.0], [0.0, 0.0, 0.0], [-40.0, 3.0, 12.0]])
+        _, _, _, V, nv, center, radius = relax._polytopes(L, rotation_interval(degenerate_box(a)))
+        assert np.all(nv == 1)
+        assert np.allclose(V[:, 0], L @ rotation_from_angles(a).T, atol=1e-9)
+        assert np.all(radius == 0.0)
+
+    def test_dedup_keeps_greedy_semantics(self):
+        # chains a ~ b ~ c with a !~ c: greedy keeps a, drops b, keeps c
+        rng = np.random.default_rng(32)
+        tol = relax._VERTEX_DEDUP
+        rows, pts = [], []
+        for r in range(6):
+            base = rng.normal(size=(5, 3))
+            chain = base[0] + np.outer(np.arange(4), [0.6 * tol, 0.0, 0.0])
+            cluster = base[1] + rng.uniform(-0.4 * tol, 0.4 * tol, size=(3, 3))
+            p = np.vstack([base, chain, cluster])
+            p = p[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))]
+            rows.append(np.full(len(p), r))
+            pts.append(p)
+        row, pt = np.concatenate(rows), np.vstack(pts)
+        keep = relax._first_of_clusters(row, pt, 6)
+        for r in range(6):
+            assert np.array_equal(pt[keep & (row == r)], np.array(greedy_dedup(pts[r], tol)))
+
+
+class TestChunkedPairSet:
+    def test_refinement_over_several_chunks_matches_oracle(self, small_scene, monkeypatch):
+        hat, bar, _ = small_scene
+        box = AngleBox.symmetric_deg(2.0)
+        batches = []
+        kernel = relax.hull_sq_dist_bounds
+
+        def counting(A, B):
+            batches.append(len(A))
+            return kernel(A, B)
+
+        monkeypatch.setattr(relax, "hull_sq_dist_bounds", counting)
+        ps = compute_pair_set(hat, bar, box)
+        chunked = len(batches)
+        assert sum(batches) > PAIR_CHUNK and chunked >= 2
+        # chunking changes no bound: one chunk for all points and pairs agrees
+        monkeypatch.setattr(relax, "POINT_CHUNK", 10**6)
+        monkeypatch.setattr(relax, "PAIR_CHUNK", 10**6)
+        whole = compute_pair_set(hat, bar, box)
+        assert len(batches) == chunked + 1
+        np.testing.assert_allclose(ps.c_lo, whole.c_lo, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(ps.c_hi, whole.c_hi, rtol=1e-12, atol=1e-15)
+        rng = np.random.default_rng(33)
+        for k in rng.choice(ps.size, 60, replace=False):
+            i, j = int(ps.i[k]), int(ps.j[k])
+            lo, hi = polytope_pair_bounds(hat, bar, i, j, box)
+            assert ps.c_lo[k] <= lo + 1e-9
+            assert ps.c_hi[k] >= hi - 1e-9
+
+
+class TestUtmOffsetInvariance:
+    """Moving both clouds by a UTM-scale offset moves nothing: bounds agree
+    within CONTAIN_SLACK (the widening every polytope bound carries), the
+    solve's bounds within relative 1e-6 and its incumbent exactly."""
+
+    OFFSET = np.array([5e5, 5e6, 0.0])
+
+    def shifted(self, cloud):
+        return Cloud(cloud.l, cloud.ins_rotation, cloud.s + self.OFFSET)
+
+    def test_pair_bounds(self, tiny_scene):
+        hat, bar, _ = tiny_scene
+        box = AngleBox.symmetric_deg(2.0)
+        a = compute_pair_set(hat, bar, box)
+        b = compute_pair_set(self.shifted(hat), self.shifted(bar), box)
+        assert np.abs(a.c_lo - b.c_lo).max() <= CONTAIN_SLACK
+        assert np.abs(a.c_hi - b.c_hi).max() <= CONTAIN_SLACK
+
+    def test_tiny_solve(self, planted_angles):
+        hat, bar, _ = synth_generate(10, 20, planted_angles, 0.02, seed=3)
+        kwargs = dict(eps_abs=1e-6, eps_rel=1e-3, max_nodes=4)
+        box = AngleBox.symmetric_deg(0.5)
+        a = nsbb_solve(hat, bar, box, **kwargs)
+        b = nsbb_solve(self.shifted(hat), self.shifted(bar), box, **kwargs)
+        assert a.nodes_explored == b.nodes_explored > 0
+        assert b.f_lower == pytest.approx(a.f_lower, rel=1e-6)
+        assert b.f_upper == pytest.approx(a.f_upper, rel=1e-6)
+        assert np.array_equal(a.incumbent.angles.as_array(), b.incumbent.angles.as_array())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boresight.cloud import Cloud, synth_generate
+from boresight.cloud import synth_generate
 from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import AgsConfig, ags, ags_run, evaluate_ub
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boresight.spatial import NnIndex, gjk_min_sq_dist, max_vertex_sq_dist
+from boresight.relax import PAIR_CHUNK
+from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_sq_dist_bounds, max_vertex_sq_dist
 
 
 def linear_scan_nn(points: np.ndarray, q: np.ndarray) -> tuple[int, float]:
@@ -149,3 +150,53 @@ def test_property_sandwich(seed):
     d2 = np.einsum("ij,ij->i", diffs, diffs)
     assert d2.min() >= lo - 1e-9
     assert d2.max() <= hi + 1e-9
+
+
+def padded(sets):
+    """Stack ragged vertex sets into (P, K, 3), padding each with its centroid."""
+    k = max(len(s) for s in sets)
+    out = np.empty((len(sets), k, 3))
+    for p, s in enumerate(sets):
+        out[p, : len(s)] = s
+        out[p, len(s):] = s.mean(axis=0)
+    return out
+
+
+class TestLockstepBounds:
+    def test_ragged_stack_matches_oracles(self, qp_min_sq_dist):
+        """More pairs than one pair-set chunk, mixing random sets, singletons,
+        coplanar sets and overlapping hulls, in one lockstep batch."""
+        rng = np.random.default_rng(21)
+        sets_a, sets_b = [], []
+        for p in range(PAIR_CHUNK + 24):
+            a = rng.normal(size=(int(rng.integers(1, 9)), 3))
+            b = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=3, size=3)
+            kind = p % 4
+            if kind == 1:
+                a = a[:1]
+            elif kind == 2:
+                a[:, 2] = 0.0
+                b = b[:3] + [0.0, 0.0, 2.0]
+            elif kind == 3:
+                b = a + rng.normal(scale=0.05, size=a.shape)
+                b[0] = a.mean(axis=0)  # b holds a point of conv(a): the hulls overlap
+            sets_a.append(a)
+            sets_b.append(b)
+        lo, hi = hull_sq_dist_bounds(padded(sets_a), padded(sets_b))
+        for p, (a, b) in enumerate(zip(sets_a, sets_b)):
+            if p % 4 == 3:
+                assert lo[p] == 0.0
+            else:
+                assert lo[p] == pytest.approx(qp_min_sq_dist(a, b), abs=1e-6)
+            d = a[:, None] - b[None]
+            assert hi[p] == np.einsum("ijk,ijk->ij", d, d).max()
+            assert lo[p] == pytest.approx(gjk_min_sq_dist(a, b), rel=1e-12, abs=1e-15)
+
+    def test_padding_with_a_hull_point_changes_nothing(self):
+        rng = np.random.default_rng(22)
+        a, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)) + 3.0
+        pad_a = np.vstack([a, a.mean(axis=0), a[:3].mean(axis=0)])
+        lo, hi = hull_sq_dist_bounds(np.stack([a, a]), np.stack([b, b]))
+        lo_p, hi_p = hull_sq_dist_bounds(pad_a[None], b[None])
+        assert lo_p[0] == pytest.approx(lo[0], rel=1e-12)
+        assert hi_p[0] == hi[0]
