@@ -16,7 +16,8 @@ import numpy as np
 from .cloud import (CloudFormatError, CropBox, EmptySelectionError, crop,
                     decimate, georeference, load_fused, save_fused,
                     save_ground_truth, synth_generate)
-from .gopt import SolverError, build_miqcqp, export_model, nsbb_solve
+from .gopt import nsbb_solve
+from .miqcqp import SolverError, build_miqcqp, export_model
 from .reduce import reduce_pairs
 from .relax import compute_pair_set
 from .rotation import AngleBox, EulerAngles
@@ -128,8 +129,8 @@ def _build_parser() -> _Parser:
     npb.add_argument("--node-time", type=float, default=30.0)
     npb.add_argument("--bounds", type=float, default=2.0)
     npb.add_argument("--threads", type=int, default=1, help="grid-search warm-start threads")
-    npb.add_argument("--lb-mode", choices=("builtin", "external"), default="builtin")
-    npb.add_argument("--solver-cmd", default=None)
+    npb.add_argument("--solver-cmd", default=None,
+                     help="external lower-bound solver, run as CMD model_path per node")
     npb.add_argument("--max-nodes", type=int, default=None)
     npb.add_argument("--time-limit", type=float, default=None)
     npb.add_argument("--no-ags-init", action="store_true",
@@ -244,7 +245,7 @@ def _cmd_nsbb(args) -> int:
     report = nsbb_solve(
         hat, bar, box,
         eps_rel=args.eps_rel, eps_abs=args.eps_abs, node_time=args.node_time,
-        f_upper_init=init, lb_mode=args.lb_mode, solver_cmd=args.solver_cmd,
+        f_upper_init=init, solver_cmd=args.solver_cmd,
         max_nodes=args.max_nodes, time_limit=args.time_limit,
     )
     kv = [
@@ -253,7 +254,7 @@ def _cmd_nsbb(args) -> int:
         ("eps_rel", args.eps_rel), ("eps_abs", args.eps_abs),
         ("bounds_deg", args.bounds), ("seed", args.seed),
         ("threads", args.threads),
-        ("lb_mode", args.lb_mode),
+        ("lb_mode", "builtin" if args.solver_cmd is None else "external"),
     ]
     if ags_objective is not None:
         kv.append(("ags_objective", repr(ags_objective)))

@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, report grammar, exit codes."""
 
+import shlex
+import sys
+
 import pytest
 
 from boresight.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from boresight.cloud import load_fused
-from boresight.gopt import parse_model
+from boresight.miqcqp import parse_model
 
 
 def run(capsys, *argv):
@@ -162,6 +165,30 @@ class TestNsbb:
     def test_missing_file_is_data_error(self, capsys):
         code, _, _ = run(capsys, "nsbb", "--hat", "/nope.txt", "--bar", "/nope.txt")
         assert code == EXIT_DATA
+
+    def test_solver_cmd_turns_on_external_bound(self, synth_files, tmp_path, capsys):
+        hat, bar, _ = synth_files
+        solver = tmp_path / "fake_solver.py"
+        calls = tmp_path / "calls.txt"
+        solver.write_text("import sys\n"
+                          f"open({str(calls)!r}, 'a').write(sys.argv[1] + '\\n')\n"
+                          "print('LOWER 0')\n")
+        cmd = f"{shlex.quote(sys.executable)} {shlex.quote(str(solver))}"
+        args = ["nsbb", "--hat", hat, "--bar", bar, "--max-nodes", "1", "--no-ags-init"]
+        code, out, _ = run(capsys, *args, "--solver-cmd", cmd)
+        assert code == EXIT_OK
+        assert parse_report(out)["lb_mode"] == "external"
+        models = calls.read_text().splitlines()
+        assert models and all(m.endswith(".miqcqp") for m in models)
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_OK
+        assert parse_report(out)["lb_mode"] == "builtin"
+
+    def test_lb_mode_option_is_gone(self, synth_files, capsys):
+        hat, bar, _ = synth_files
+        code, _, err = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--lb-mode", "external")
+        assert code == EXIT_USAGE
+        assert "usage error" in err
 
 
 class TestExportModel:

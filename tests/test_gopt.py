@@ -1,27 +1,20 @@
-"""Branch-and-bound solver, quadratic model construction, and model export."""
+"""Branch-and-bound driver: branching, node lower bounds and the solve loop."""
 
 import math
-import stat
-import tempfile
 
 import numpy as np
 import pytest
 
 from boresight import gopt
-from boresight.cloud import georeference
 from boresight.gopt import (
-    MiqcqpModel,
     Node,
-    SolverError,
     branch,
-    build_miqcqp,
     builtin_lower_bound,
-    export_model,
     node_lower_bound,
     nsbb_solve,
-    parse_model,
     relative_gap,
 )
+from boresight.miqcqp import SolverError
 from boresight.reduce import PairSet, reduce_pairs
 from boresight.relax import compute_pair_set
 from boresight.rotation import AngleBox, EulerAngles
@@ -35,32 +28,6 @@ def make_node(hat, bar, box, f_upper=np.inf):
     red = reduce_pairs(pairs, f_upper)
     assert not red.infeasible
     return Node(box=box, pairs=red.pairs, lower=0.0, depth=0, id=0)
-
-
-def model_point(hat, bar, pairs, angles, assignment):
-    """Variable values satisfying the model at fixed angles and 0/1 assignment."""
-    a, b, g = angles.alpha, angles.beta, angles.gamma
-    x = {
-        "u_alpha": math.cos(a), "v_alpha": math.sin(a),
-        "u_beta": math.cos(b), "v_beta": math.sin(b),
-        "u_gamma": math.cos(g), "v_gamma": math.sin(g),
-        "w_gb": math.cos(g) * math.sin(b), "w_bg": math.sin(b) * math.sin(g),
-    }
-    p_hat = georeference(hat, angles)
-    p_bar = georeference(bar, angles)
-    for i in np.unique(pairs.i):
-        for e in range(3):
-            x[f"ph_{i}_{e}"] = float(p_hat[i, e])
-    for j in np.unique(pairs.j):
-        for e in range(3):
-            x[f"pb_{j}_{e}"] = float(p_bar[j, e])
-    for i, j in zip(pairs.i, pairs.j):
-        x[f"b_{i}_{j}"] = 1.0 if assignment[int(i)] == int(j) else 0.0
-    for i in np.unique(pairs.i):
-        j = assignment[int(i)]
-        for e in range(3):
-            x[f"p_{i}_{e}"] = float(p_bar[j, e])
-    return x
 
 
 class TestBranch:
@@ -132,173 +99,6 @@ class TestLowerBound:
         ps = PairSet(n_hat=1, i=[0], j=[0], c_lo=[0.5], c_hi=[1.0])
         node = Node(box=AngleBox.symmetric_deg(1.0), pairs=ps, lower=0.0, depth=1, id=0)
         assert node_lower_bound(node, parent_lower=0.9) == pytest.approx(0.9)
-
-    def test_unknown_mode_rejected(self):
-        node = Node(box=AngleBox.symmetric_deg(1.0), pairs=PairSet.dense(1, 1),
-                    lower=0.0, depth=0, id=0)
-        with pytest.raises(ValueError):
-            node_lower_bound(node, mode="quantum")
-
-
-class TestExternalAdapter:
-    def write_script(self, tmp_path, body):
-        path = tmp_path / "fake_solver.sh"
-        path.write_text("#!/bin/sh\n" + body + "\n")
-        path.chmod(path.stat().st_mode | stat.S_IEXEC)
-        return str(path)
-
-    def test_external_bound_used_when_larger(self, tiny_scene, tmp_path):
-        # builtin bound ~17.8 < LOWER 20 < midpoint objective ~25.0
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(0.1)
-        node = make_node(hat, bar, box)
-        node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
-        cmd = self.write_script(tmp_path, 'echo "LOWER 20.0"')
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd,
-                              node_upper=node_upper)
-        assert lb == pytest.approx(20.0)
-
-    def test_failing_adapter_falls_back_to_builtin(self, tiny_scene, tmp_path):
-        hat, bar, _ = tiny_scene
-        node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, mode="builtin")
-        cmd = self.write_script(tmp_path, "exit 3")
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd)
-        assert lb == pytest.approx(builtin)
-
-    def test_garbage_output_falls_back(self, tiny_scene, tmp_path):
-        hat, bar, _ = tiny_scene
-        node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, mode="builtin")
-        cmd = self.write_script(tmp_path, 'echo "no bound here"')
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd)
-        assert lb == pytest.approx(builtin)
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e300"])
-    def test_invalid_lower_falls_back_without_leaking(self, tiny_scene, tmp_path,
-                                                      monkeypatch, caplog, value):
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(0.1)
-        node = make_node(hat, bar, box)
-        builtin = node_lower_bound(node, mode="builtin")
-        node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
-        cmd = self.write_script(tmp_path, f'echo "LOWER {value}"')
-        model_dir = tmp_path / "models"
-        model_dir.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(model_dir))
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=cmd,
-                              node_upper=node_upper)
-        assert lb == builtin
-        assert "LOWER" in caplog.text
-        assert list(model_dir.iterdir()) == []
-
-    def test_solver_ignores_bound_above_node_objective(self, tiny_scene, tmp_path):
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(0.5)
-        kwargs = dict(eps_abs=1e-4, eps_rel=1e-4, max_nodes=2)
-        ref = nsbb_solve(hat, bar, box, **kwargs)
-        cmd = self.write_script(tmp_path, 'echo "LOWER 1e300"')
-        rep = nsbb_solve(hat, bar, box, lb_mode="external", solver_cmd=cmd, **kwargs)
-        assert rep.converged_by == ref.converged_by == "node_limit"
-        assert (rep.f_lower, rep.f_upper) == (ref.f_lower, ref.f_upper)
-
-    def test_missing_adapter_uses_builtin(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, mode="builtin")
-        lb = node_lower_bound(node, mode="external", hat=hat, bar=bar, solver_cmd=None)
-        assert lb == pytest.approx(builtin)
-
-
-class TestBuildMiqcqp:
-    def test_counts_single_hat_point(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        hat1 = hat.subset(np.array([0]))
-        bar2 = bar.subset(np.array([0, 1]))
-        box = AngleBox.symmetric_deg(2.0)
-        pairs = compute_pair_set(hat1, bar2, box)
-        model = build_miqcqp(hat1, bar2, pairs, box)
-        assert len(model.binaries()) == 2
-        assign_rows = [c for c in model.constraints if not c.quad and c.sense == "="]
-        assert len(assign_rows) == 1
-        rotation_vars = [v for v in model.variables
-                         if v.name.startswith(("u_", "v_", "w_"))]
-        assert len(rotation_vars) == 8
-
-    def test_true_point_feasible_and_matches_objective(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(2.0)
-        pairs = compute_pair_set(hat, bar, box)
-        model = build_miqcqp(hat, bar, pairs, box)
-        ev = evaluate_ub(hat, bar, PLANTED)
-        x = model_point(hat, bar, pairs, PLANTED, ev.assignment)
-        assert model.max_violation(x) <= 1e-9
-        assert model.objective_value(x) == pytest.approx(ev.objective, abs=1e-9)
-
-    def test_objective_identity_random_assignments(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        box = AngleBox.symmetric_deg(2.0)
-        pairs = compute_pair_set(hat, bar, box)
-        model = build_miqcqp(hat, bar, pairs, box)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            angles = EulerAngles(*box.sample(rng, 1)[0])
-            assignment = {int(i): int(rng.choice(pairs.candidates_for(int(i))))
-                          for i in np.unique(pairs.i)}
-            x = model_point(hat, bar, pairs, angles, assignment)
-            p_hat = georeference(hat, angles)
-            p_bar = georeference(bar, angles)
-            expect = sum(
-                float(np.sum((p_hat[i] - p_bar[assignment[i]]) ** 2))
-                for i in assignment
-            )
-            assert model.objective_value(x) == pytest.approx(expect, abs=1e-9)
-            assert model.max_violation(x) <= 1e-9
-
-    def test_rejects_uncovered_hat_point(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        ps = PairSet(n_hat=len(hat), i=[0], j=[0], c_lo=[0.0], c_hi=[1.0])
-        with pytest.raises(SolverError):
-            build_miqcqp(hat, bar, ps, AngleBox.symmetric_deg(2.0))
-
-
-class TestModelExport:
-    def build_small_model(self, tiny_scene):
-        hat, bar, _ = tiny_scene
-        hat3 = hat.subset(np.arange(3))
-        bar5 = bar.subset(np.arange(5))
-        box = AngleBox.symmetric_deg(2.0)
-        pairs = compute_pair_set(hat3, bar5, box)
-        return build_miqcqp(hat3, bar5, pairs, box)
-
-    def test_round_trip_exact(self, tiny_scene, tmp_path):
-        model = self.build_small_model(tiny_scene)
-        path = str(tmp_path / "m.miqcqp")
-        export_model(model, path)
-        back = parse_model(path)
-        assert back.variables == model.variables
-        assert back.objective_quad == model.objective_quad
-        assert back.objective_lin == model.objective_lin
-        assert back.objective_const == model.objective_const
-        assert len(back.constraints) == len(model.constraints)
-        for a, b in zip(back.constraints, model.constraints):
-            assert (a.sense, a.rhs, a.quad, a.lin) == (b.sense, b.rhs, b.quad, b.lin)
-
-    def test_header_counts_match(self, tiny_scene, tmp_path):
-        model = self.build_small_model(tiny_scene)
-        path = str(tmp_path / "m.miqcqp")
-        export_model(model, path)
-        lines = open(path).read().splitlines()
-        assert lines[0] == "MIQCQP v1"
-        assert lines[1] == f"VARS {len(model.variables)}"
-        constr_line = next(ln for ln in lines if ln.startswith("CONSTR"))
-        assert constr_line == f"CONSTR {len(model.constraints)}"
-
-    def test_no_binaries_rejected(self, tmp_path):
-        model = MiqcqpModel(variables=[], constraints=[], objective_quad=[],
-                            objective_lin=[], objective_const=0.0)
-        with pytest.raises(SolverError):
-            export_model(model, str(tmp_path / "m.miqcqp"))
 
 
 class TestNsbbSolve:
@@ -388,12 +188,36 @@ class TestNsbbSolve:
         with pytest.raises(SolverError):
             nsbb_solve(hat, bar, AngleBox.symmetric_deg(1.0), eps_rel=0.0)
 
-    def test_numeric_warm_start_tightens_pruning(self, tiny_scene):
+
+    def test_library_call_sites_go_through_module_globals(self, tiny_scene, monkeypatch):
+        """The driver calls these four through gopt's globals, where the
+        benchmark tracer wraps them; children get the parent's pair set."""
         hat, bar, _ = tiny_scene
-        f_true = evaluate_ub(hat, bar, PLANTED).objective + 1e-6
-        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0),
-                         f_upper_init=f_true, eps_abs=1e9)
-        assert rep.f_upper <= f_true + 1e-12
+        calls = {name: [] for name in
+                 ("compute_pair_set", "reduce_pairs", "evaluate_ub", "node_lower_bound")}
+
+        def counting(name):
+            fn = getattr(gopt, name)
+
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name].append((args, kwargs, result))
+                return result
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gopt, name, counting(name))
+        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5),
+                         eps_abs=1e-4, eps_rel=1e-4, max_nodes=1)
+        assert rep.nodes_explored == 1
+        assert all(calls.values())
+        pairs_in = [args[3] if len(args) > 3 else kwargs.get("pairs")
+                    for args, kwargs, _ in calls["compute_pair_set"]]
+        root_pairs = calls["reduce_pairs"][0][2].pairs
+        assert pairs_in[0] is None
+        assert len(pairs_in) == 9  # the root and its 8 children
+        assert all(p is root_pairs for p in pairs_in[1:])
 
 
 def test_relative_gap_denominator_floor():
