@@ -234,19 +234,28 @@ def _cmd_nsbb(args) -> int:
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
     box = _box_arg(args.bounds)
+    if args.time_limit is not None and args.time_limit <= 0:
+        raise UsageError("--time-limit must be positive seconds")
     init = None
     ags_objective = None
+    # --time-limit is one budget: the warm start spends from it, nsBB gets the rest
+    time_left = args.time_limit
+    t_ags = 0.0
     if not args.no_ags_init:
-        cfg = AgsConfig(n_d=args.ags_nd, t_max=max(args.time_limit or 1e9, 1.0),
+        cfg = AgsConfig(n_d=args.ags_nd, t_max=args.time_limit or 1e9,
                         box=box, seed=args.seed, max_rounds=args.ags_rounds,
                         threads=args.threads)
+        t0 = time.monotonic()
         init = ags_run(hat, bar, cfg).best
+        t_ags = time.monotonic() - t0
         ags_objective = init.objective
+        if time_left is not None:
+            time_left = max(0.0, time_left - t_ags)
     report = nsbb_solve(
         hat, bar, box,
         eps_rel=args.eps_rel, eps_abs=args.eps_abs, node_time=args.node_time,
         f_upper_init=init, solver_cmd=args.solver_cmd,
-        max_nodes=args.max_nodes, time_limit=args.time_limit,
+        max_nodes=args.max_nodes, time_limit=time_left,
     )
     kv = [
         ("command", "nsbb"),
@@ -270,7 +279,11 @@ def _cmd_nsbb(args) -> int:
         ("nodes_pruned_infeasible", report.nodes_pruned_infeasible),
         ("pairs_root", report.pairs_root),
         ("pairs_eliminated", report.pairs_eliminated),
-    ] + _angles_report("", report.incumbent.angles) + [("wall_time_s", report.wall_time)]
+    ] + _angles_report("", report.incumbent.angles) + [
+        ("ags_time_s", t_ags),
+        ("nsbb_time_s", report.wall_time),
+        ("wall_time_s", t_ags + report.wall_time),
+    ]
     lines = _report_kv(kv) + _human_table([
         ("objective", f"{report.f_upper:.6g}"),
         ("bounds", f"[{report.f_lower:.6g}, {report.f_upper:.6g}]"),

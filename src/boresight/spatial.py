@@ -54,60 +54,64 @@ def gjk_min_sq_dist(a, b) -> float:
     return float(hull_sq_dist_bounds(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[0][0])
 
 
-# The faces of a simplex of up to 4 points, one index array per face size,
-# each in itertools.combinations order; _FACE_IDX (zero-padded) and
-# _FACE_SIZE list all 15 in that order.
-_FACES = [np.array(list(itertools.combinations(range(4), r))) for r in range(1, 5)]
-_FACE_IDX = np.array([list(f) + [0] * (4 - len(f)) for fs in _FACES for f in fs])
-_FACE_SIZE = np.array([len(f) for fs in _FACES for f in fs])
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products over the last axis (as np.cross, with less overhead)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+# The faces of a simplex of up to 4 points that contain its slot 0, the
+# newest support point: the vertex, 3 edges, 3 triangles and the
+# tetrahedron, in that order; _FACE_IDX (zero-padded) lists their slots.
+_FACES = [(0,) + c for r in range(4) for c in itertools.combinations(range(1, 4), r)]
+_FACE_IDX = np.array([list(f) + [0] * (4 - len(f)) for f in _FACES])
+_FACE_SIZE = np.array([len(f) for f in _FACES])
+_FACE_TOP = _FACE_IDX.max(axis=1)
+_TRI_EDGES = np.array(list(itertools.combinations(range(3), 2))).T  # edge vectors of faces 4-6
 _GJK_TOL, _GJK_MAX_ITER = 1e-9, 200
 
 
 def _closest_on_simplex(S: np.ndarray, n: np.ndarray):
-    """Closest point to the origin of conv(S[p, :n[p]]) for a stack of simplices.
+    """Closest point to the origin of conv(S[p, :n[p]]) for a stack of
+    simplices whose newest point S[p, 0] was just added to a simplex that the
+    termination test did not accept.
 
-    Every face is a candidate: the point of its affine hull nearest the
-    origin counts when its barycentric weights are nonnegative, and the
-    nearest candidate wins, the first in face order on ties. The weights come
-    from the normal equations of the face's edge vectors in closed form (the
-    tetrahedron solves for the origin directly); a degenerate face gives an
-    infinite or undefined weight and drops out, since one of its own faces
-    holds its closest point. Returns the points (P, 3), the supporting faces'
-    points moved to the front of the slots (P, 4, 3) and their sizes (P,).
+    Then the closest point lies on a face that contains S[p, 0] (moving from
+    the old closest point v toward the new point w decreases the norm, since
+    v . w < v . v), so only those 8 faces are candidates. The point of a
+    face's affine hull nearest the origin counts when its barycentric weights
+    are nonnegative, and the nearest candidate wins, the first in face order
+    on ties. With edge vectors e_k = S[p, k] - S[p, 0], the vertex needs no
+    solve; the edges and triangles solve the normal equations (e_k . e_l) mu
+    = -(e_k . w) in closed form from one Gram matrix, and the tetrahedron
+    solves for the origin directly by Cramer's rule. A degenerate face gives
+    an infinite or undefined weight and drops out, since one of its own
+    faces holds its closest point. Returns the points (P, 3), the supporting
+    faces' points moved to the front of the slots (P, 4, 3) and their sizes
+    (P,).
     """
-    xs, nns = [], []
+    w = S[:, 0]
+    E = S[:, 1:] - w[:, None]
+    G = E @ E.transpose(0, 2, 1)
+    r = -(E @ w[:, :, None])[..., 0]
+    mu = np.zeros((len(S), len(_FACES), 3))  # mu[p, f, k]: weight of e_(k+1) in face f
+    k, l = _TRI_EDGES
     with np.errstate(divide="ignore", invalid="ignore"):
-        for face in _FACES:
-            Y = S[:, face]
-            y0 = Y[:, :, 0]
-            E = Y[:, :, 1:] - y0[:, :, None]
-            k = face.shape[1] - 1
-            if k == 3:
-                # rows e2 x e3, e3 x e1, e1 x e2: Cramer's rule for E^T mu = -y0
-                a, b = E[:, :, [1, 2, 0]], E[:, :, [2, 0, 1]]
-                C = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
-                mu = -np.einsum("pfid,pfd->pfi", C, y0) / np.einsum(
-                    "pfd,pfd->pf", E[:, :, 0], C[:, :, 0])[..., None]
-            else:
-                N = np.einsum("pfid,pfjd->pfij", E, E)
-                r = -np.einsum("pfid,pfd->pfi", E, y0)
-                if k < 2:  # a vertex (no weights to solve for) or an edge
-                    mu = r / np.diagonal(N, axis1=2, axis2=3)
-                else:
-                    det = N[..., 0, 0] * N[..., 1, 1] - N[..., 0, 1] * N[..., 1, 0]
-                    mu = np.stack([r[..., 0] * N[..., 1, 1] - N[..., 0, 1] * r[..., 1],
-                                   N[..., 0, 0] * r[..., 1] - r[..., 0] * N[..., 1, 0]], axis=2)
-                    mu /= det[..., None]
-            x = y0 + np.einsum("pfi,pfid->pfd", mu, E)
-            nn = np.einsum("pfd,pfd->pf", x, x)
-            ok = (np.all(mu >= -1e-12, axis=2) & (1.0 - mu.sum(axis=2) >= -1e-12)
-                  & (face.max(axis=1) < n[:, None]))
-            xs.append(x)
-            nns.append(np.where(ok, nn, np.inf))
-    best = np.argmin(np.concatenate(nns, axis=1), axis=1)
+        mu[:, [1, 2, 3], [0, 1, 2]] = r / G[:, [0, 1, 2], [0, 1, 2]]
+        det = G[:, k, k] * G[:, l, l] - G[:, k, l] ** 2
+        mu[:, [4, 5, 6], k] = (r[:, k] * G[:, l, l] - G[:, k, l] * r[:, l]) / det
+        mu[:, [4, 5, 6], l] = (G[:, k, k] * r[:, l] - r[:, k] * G[:, k, l]) / det
+        # rows e2 x e3, e3 x e1, e1 x e2: Cramer's rule for E^T mu = -w
+        C = _cross(E[:, [1, 2, 0]], E[:, [2, 0, 1]])
+        mu[:, 7] = -(C @ w[:, :, None])[..., 0] / np.sum(E[:, 0] * C[:, 0], axis=1)[:, None]
+        x = w[:, None] + mu @ E
+        nn = np.sum(x * x, axis=2)
+        ok = (np.all(mu >= -1e-12, axis=2) & (mu.sum(axis=2) <= 1.0 + 1e-12)
+              & (_FACE_TOP < n[:, None]))
+    best = np.argmin(np.where(ok, nn, np.inf), axis=1)
     rows = np.arange(S.shape[0])
-    v = np.concatenate(xs, axis=1)[rows, best]
-    return v, S[rows[:, None], _FACE_IDX[best]], _FACE_SIZE[best]
+    return x[rows, best], S[rows[:, None], _FACE_IDX[best]], _FACE_SIZE[best]
 
 
 def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +122,15 @@ def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.nd
     neither distance. The max is attained at a vertex pair. The min is the
     distance variant of the Gilbert-Johnson-Keerthi iteration over the
     Minkowski difference, run on all P pairs in lockstep: every iteration
-    takes one support point per pair and one closest-point step over all
-    faces of each pair's simplex, and a pair leaves the batch when it
-    terminates. The min is exact to tolerance, and 0 when the hulls intersect.
+    takes one support point w per pair along -v, v the closest point so far,
+    puts it in slot 0 of the simplex and steps to the closest point over the
+    faces that contain it (see _closest_on_simplex). A pair leaves the batch
+    when it terminates: with 0 when the hulls touch or intersect, with
+    ||v||^2 when v . w certifies v to tolerance. A pair that leaves without
+    that certificate (the step stalls, w repeats a simplex point, or the
+    iteration cap is hit) gets its best support-plane bound
+    max(0, v . w)^2 / ||v||^2 over the iterations, which never exceeds the
+    true squared distance.
     """
     hi = np.zeros(len(A))
     for a in A.transpose(1, 0, 2):  # one vertex of every A[p] at a time: O(P * Kb) memory
@@ -129,34 +139,29 @@ def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.nd
     lo, live = np.empty(len(A)), np.arange(len(A))
     v = A[:, 0] - B[:, 0]
     S, n = np.zeros((len(A), 4, 3)), np.zeros(len(A), dtype=int)
-    prev = np.full(len(A), np.inf)  # simplex updates are non-increasing once seeded
-
-    def retire(done, value):
-        nonlocal live, A, B, v, S, n, prev
-        lo[live[done]] = value[done]
-        keep = ~done
-        live, A, B, v, S, n, prev = (x[keep] for x in (live, A, B, v, S, n, prev))
-        return keep
+    prev = np.full(len(A), np.inf)  # ||v||^2 one closest-point step back (the seed v is none)
+    best = np.zeros(len(A))
 
     for it in range(_GJK_MAX_ITER):
-        if not live.size:
-            return lo, hi
         vv = np.einsum("pd,pd->p", v, v)
         rows = np.arange(live.size)
         # support of the Minkowski difference along -v
         w = (A[rows, np.argmax(np.einsum("pkd,pd->pk", A, -v), axis=1)]
              - B[rows, np.argmax(np.einsum("pkd,pd->pk", B, v), axis=1)])
-        touching = vv <= _GJK_TOL**2
+        vw = np.einsum("pd,pd->p", v, w)
+        inside = (vv <= _GJK_TOL**2) | (n == 4)  # the hulls touch or intersect
+        best = np.maximum(best, np.maximum(vw, 0.0) ** 2 / np.where(inside, 1.0, vv))
+        converged = vv - vw <= _GJK_TOL * vv
         repeated = np.any(np.all(S == w[:, None], axis=2) & (np.arange(4) < n[:, None]), axis=1)
-        keep = retire(touching | (vv - np.einsum("pd,pd->p", v, w) <= _GJK_TOL * vv) | repeated,
-                      np.where(touching, 0.0, vv))
-        w = w[keep]
-        S[np.arange(live.size), n] = w
+        stalled = vv >= prev * (1.0 - 1e-14)
+        done = inside | converged | repeated | stalled
+        lo[live[done]] = np.where(inside, 0.0, np.where(converged, vv, best))[done]
+        keep = ~done
+        live, A, B, S, n, w, best = (x[keep] for x in (live, A, B, S, n, w, best))
+        if not live.size:
+            return lo, hi
+        prev = vv[keep] if it else prev[keep]
+        S = np.concatenate([w[:, None], S[:, :3]], axis=1)
         v, S, n = _closest_on_simplex(S, n + 1)
-        nn = np.einsum("pd,pd->p", v, v)
-        inside = (n == 4) | (nn <= _GJK_TOL**2)
-        stalled = (it > 0) & (nn >= prev * (1.0 - 1e-14))
-        prev = nn
-        retire(inside | stalled, np.where(inside, 0.0, nn))
-    lo[live] = np.einsum("pd,pd->p", v, v)
+    lo[live] = best
     return lo, hi

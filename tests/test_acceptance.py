@@ -1,6 +1,6 @@
 """Acceptance gate: one criterion per test, one printed PASS/FAIL line each.
 
-Criteria 1-7 run on synthetic data at desk scale. Criterion 8 (reproduction on
+Criteria 1-7 and 9 run on synthetic data at desk scale. Criterion 8 (reproduction on
 the released survey datasets) needs external files and is skipped unless the
 BORESIGHT_DATASET_DIR environment variable is set; see
 scripts/reproduce_full_scale.py for the out-of-CI procedure.
@@ -260,3 +260,33 @@ def test_criterion_8_full_scale_reproduction(capsys):
     ok = proc.returncode == 0
     announce(capsys, 8, ok, "reproduction script " + ("succeeded" if ok else "failed"))
     assert ok, proc.stdout + proc.stderr
+
+
+def test_criterion_9_noisy_branching_certificate(capsys):
+    """A noisy 8x16 scene over a +-0.5 degree box around the planted angles
+    must branch and close at eps_rel = 0.2: f_lower at or below the minimum of
+    a 25^3 grid of the box, f_upper within the tolerance of it, and the
+    incumbent an evaluated point of the box; < 2 min."""
+    hat, bar, _ = synth_generate(8, 16, PLANTED, 0.02, seed=3)
+    half = math.radians(0.5)
+    box = AngleBox.from_arrays(PLANTED.as_array() - half, PLANTED.as_array() + half)
+    eps_rel = 0.2
+    t0 = time.monotonic()
+    report = nsbb_solve(hat, bar, box, eps_rel=eps_rel, eps_abs=1e-6)
+    t_nsbb = time.monotonic() - t0
+    axes = [np.linspace(lo, hi, 25) for lo, hi in zip(box.lows(), box.highs())]
+    grid_min = min(evaluate_ub(hat, bar, EulerAngles(a, b, g)).objective
+                   for a in axes[0] for b in axes[1] for g in axes[2])
+    inc = report.incumbent.angles.as_array()
+    ok = (report.nodes_explored > 0
+          and report.converged_by in ("gap_rel", "gap_abs", "exhausted")
+          and report.f_lower <= grid_min
+          and report.f_upper <= grid_min / (1.0 - eps_rel)
+          and report.f_upper == evaluate_ub(hat, bar, report.incumbent.angles).objective
+          and bool(np.all((box.lows() <= inc) & (inc <= box.highs())))
+          and t_nsbb < 120.0)
+    announce(capsys, 9, ok,
+             f"{report.nodes_explored} nodes ({report.converged_by}) in {t_nsbb:.1f}s, "
+             f"f_lower {report.f_lower:.6g} <= grid min {grid_min:.6g}, "
+             f"f_upper {report.f_upper:.6g}")
+    assert ok

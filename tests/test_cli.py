@@ -2,9 +2,11 @@
 
 import shlex
 import sys
+import time
 
 import pytest
 
+from boresight import cli
 from boresight.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from boresight.cloud import load_fused
 from boresight.miqcqp import parse_model
@@ -183,6 +185,40 @@ class TestNsbb:
         code, out, _ = run(capsys, *args)
         assert code == EXIT_OK
         assert parse_report(out)["lb_mode"] == "builtin"
+
+    @pytest.mark.parametrize("limit, spent", [(5.0, 0.4), (0.2, 0.4)])
+    def test_time_limit_is_one_budget(self, synth_files, capsys, monkeypatch, limit, spent):
+        """The warm start spends from --time-limit and nsBB gets what is left,
+        never less than 0; the report gives both times."""
+        real_ags, real_nsbb = cli.ags_run, cli.nsbb_solve
+        limits = []
+
+        def slow_ags(*a, **kw):
+            result = real_ags(*a, **kw)
+            time.sleep(spent)
+            return result
+
+        def recording_nsbb(*a, **kw):
+            limits.append(kw["time_limit"])
+            return real_nsbb(*a, **kw)
+
+        monkeypatch.setattr(cli, "ags_run", slow_ags)
+        monkeypatch.setattr(cli, "nsbb_solve", recording_nsbb)
+        hat, bar, _ = synth_files
+        code, out, _ = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--ags-nd", "4",
+                           "--ags-rounds", "1", "--max-nodes", "2", "--time-limit", str(limit))
+        assert code == EXIT_OK
+        kv = parse_report(out)
+        t_ags = float(kv["ags_time_s"])
+        assert t_ags >= spent
+        assert limits == [pytest.approx(max(0.0, limit - t_ags), abs=1e-6)]
+        assert float(kv["wall_time_s"]) == pytest.approx(t_ags + float(kv["nsbb_time_s"]))
+
+    def test_nonpositive_time_limit_is_usage_error(self, synth_files, capsys):
+        hat, bar, _ = synth_files
+        code, _, err = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--time-limit", "0")
+        assert code == EXIT_USAGE
+        assert "--time-limit" in err
 
     def test_lb_mode_option_is_gone(self, synth_files, capsys):
         hat, bar, _ = synth_files

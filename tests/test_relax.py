@@ -1,5 +1,6 @@
 """Reachable-set enclosures and certified per-pair distance bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -290,6 +291,84 @@ class TestBatchedPolytopes:
         keep = relax._first_of_clusters(row, pt, 6)
         for r in range(6):
             assert np.array_equal(pt[keep & (row == r)], np.array(greedy_dedup(pts[r], tol)))
+
+
+def lu_vertices(A, b):
+    """Oracle: every plane triple with |det| > 1e-10 solved by LU
+    (np.linalg.det, np.linalg.solve), the same feasibility test, then
+    lexicographic order and the greedy dedup, row by row."""
+    combos = relax._TRIPLES[A.shape[1]]
+    A3, b3 = A[:, combos], b[:, combos]
+    ok = np.abs(np.linalg.det(A3)) > 1e-10
+    X = np.full(b3.shape, np.nan)
+    X[ok] = np.linalg.solve(A3[ok], b3[ok][..., None])[..., 0]
+    ok &= np.all(X @ A.transpose(0, 2, 1) <= b[:, None, :] + relax._FEAS_TOL, axis=2)
+    rows = []
+    for x, k in zip(X, ok):
+        pts = x[k][np.lexsort((x[k][:, 2], x[k][:, 1], x[k][:, 0]))]
+        rows.append(np.array(greedy_dedup(pts, relax._VERTEX_DEDUP)).reshape(-1, 3))
+    return rows
+
+
+def cube_planes(extra_normals, extra_offsets):
+    """The cube |x|, |y|, |z| <= 1 in _halfspaces order, plus extra planes."""
+    A = np.vstack([relax._BOX_NORMALS, extra_normals])
+    return A, np.concatenate([np.ones(6), extra_offsets])
+
+
+class TestClosedFormVertices:
+    def assert_matches_lu(self, A, b):
+        row, pts = relax._vertices(A, b)
+        expected = lu_vertices(A, b)
+        assert np.array_equal(np.bincount(row, minlength=len(A)), [len(e) for e in expected])
+        for r, e in enumerate(expected):
+            got = pts[row == r]
+            if len(e):
+                d = np.sqrt(np.sum((got[:, None] - e[None]) ** 2, axis=2))
+                assert max(d.min(axis=0).max(), d.min(axis=1).max()) <= 1e-8
+
+    def test_determinant_threshold(self):
+        """The cube with its top tilted by slope s about the edge x = 0: the
+        new vertices (0, +-1, 1) come only from triples with |det| = s."""
+        systems = [cube_planes([[s, 0.0, 1.0]], [1.0])
+                   for s in (1.01e-10, 0.99e-10, 2e-10, 5e-11, -1.01e-10, 1e-3)]
+        A, b = (np.stack(x) for x in zip(*systems))
+        row, pts = relax._vertices(A, b)
+        ridge = np.all(np.isclose(pts, [0.0, 1.0, 1.0], atol=1e-12), axis=1)
+        assert np.array_equal(np.unique(row[ridge]), [0, 2, 4, 5])
+        self.assert_matches_lu(A, b)
+
+    def test_parallel_and_coincident_planes(self):
+        x = np.array([1.0, 0.0, 0.0])
+        systems = [cube_planes([x, x], [1.0, 1.0]), cube_planes([x, -x], [0.5, 0.5]),
+                   cube_planes([x, x], [0.25, 2.0])]
+        self.assert_matches_lu(*(np.stack(v) for v in zip(*systems)))
+
+    def test_four_or_more_planes_per_vertex(self):
+        """An octahedron (four planes at each vertex) and a square pyramid
+        (four distinct planes at the apex, each given twice), cut by the cube."""
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        octa = cube_planes(signs / np.sqrt(3.0), np.full(8, 1.0 / np.sqrt(3.0)))
+        sides = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]) / np.sqrt(2.0)
+        pyramid = cube_planes(np.vstack([sides, sides]), np.full(8, 0.5 / np.sqrt(2.0)))
+        A, b = (np.stack(v) for v in zip(octa, pyramid))
+        row, _ = relax._vertices(A, b)
+        assert np.array_equal(np.bincount(row), [6, 9])
+        self.assert_matches_lu(A, b)
+
+    @pytest.mark.parametrize("half_deg", [2.0, 0.1, 0.01])
+    def test_enclosure_planes(self, half_deg):
+        """The planes of real enclosures, down to narrow boxes where sphere
+        tangents are nearly parallel (narrower still, the LU oracle's own
+        rounding exceeds the 1e-8 m tolerance)."""
+        rng = np.random.default_rng(int(half_deg * 1000))
+        L = rng.normal(scale=30.0, size=(96, 3))
+        box = AngleBox.from_arrays(PLANTED.as_array() - math.radians(half_deg),
+                                   PLANTED.as_array() + math.radians(half_deg))
+        lo, hi = relax._reach_bounds(rotation_interval(box), L)
+        A, b, m = relax._halfspaces(L, lo, hi)
+        for mm in np.unique(m):
+            self.assert_matches_lu(A[m == mm, :mm], b[m == mm, :mm])
 
 
 class TestChunkedPairSet:

@@ -1,11 +1,14 @@
 """Nearest-neighbor index and convex-polytope distance kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boresight.relax import PAIR_CHUNK
+from boresight import spatial
+from boresight.relax import CONTAIN_SLACK, PAIR_CHUNK
 from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_sq_dist_bounds, max_vertex_sq_dist
 
 
@@ -200,3 +203,88 @@ class TestLockstepBounds:
         lo_p, hi_p = hull_sq_dist_bounds(pad_a[None], b[None])
         assert lo_p[0] == pytest.approx(lo[0], rel=1e-12)
         assert hi_p[0] == hi[0]
+
+
+def all_faces_closest(S, n):
+    """Reference closest-point step: every nonempty face of each simplex (all
+    15 of a tetrahedron) is a candidate, its affine-hull point nearest the
+    origin solved with np.linalg.lstsq and kept when its barycentric weights
+    are nonnegative; the nearest kept candidate wins. Same contract as
+    spatial._closest_on_simplex, in any slot order."""
+    v, out, size = np.zeros((len(S), 3)), S.copy(), np.zeros(len(S), dtype=int)
+    for p in range(len(S)):
+        best = np.inf
+        for r in range(1, n[p] + 1):
+            for face in itertools.combinations(range(n[p]), r):
+                Y = S[p, list(face)]
+                E = (Y[1:] - Y[0]).T
+                mu = np.linalg.lstsq(E, -Y[0], rcond=None)[0] if r > 1 else np.zeros(0)
+                x = Y[0] + E @ mu
+                if np.all(mu >= -1e-12) and mu.sum() <= 1.0 + 1e-12 and x @ x < best:
+                    best = x @ x
+                    v[p], size[p] = x, r
+                    out[p, :r] = Y
+    return v, out, size
+
+
+def gjk_stacks(rng):
+    """Vertex-set pairs of the degenerate kinds the GJK step must handle."""
+    line = np.array([1.0, 2.0, -0.5])
+    pairs = []
+    for _ in range(6):
+        a = rng.normal(size=(int(rng.integers(2, 7)), 3))
+        # coincident: shared and repeated points
+        pairs.append((np.vstack([a, a[:2]]), np.vstack([a[1:2], rng.normal(size=(3, 3)) + 2.0])))
+        # collinear: both sets on one line, apart and interleaved
+        t = rng.uniform(-1, 1, size=(2, 4))
+        pairs.append((np.outer(t[0], line), np.outer(t[1] + 3.0, line) + [0.0, 0.0, 0.5]))
+        pairs.append((np.outer(t[0], line), np.outer(t[1], line)))
+        # coplanar: every point in z = 0, and a point above the plane
+        flat = a.copy()
+        flat[:, 2] = 0.0
+        pairs.append((flat, flat[::-1] + [3.0, 0.0, 0.0]))
+        pairs.append((flat, [[0.1, 0.2, 1.5]]))
+        # touching: cubes sharing a face, an edge, a corner
+        c = rng.normal(size=3)
+        pairs.append((cube(c), cube(c + [1.0, 0.0, 0.0])))
+        pairs.append((cube(c), cube(c + [1.0, 1.0, 0.0])))
+        pairs.append((cube(c), cube(c + [1.0, 1.0, 1.0])))
+        # overlapping and separated random sets
+        b = rng.normal(size=(int(rng.integers(1, 8)), 3))
+        pairs.append((a, b + rng.normal(scale=0.3, size=3)))
+        pairs.append((a, b + rng.normal(scale=4.0, size=3)))
+    return pairs
+
+
+class TestNewestFaceStep:
+    def test_matches_all_faces_reference(self, qp_min_sq_dist, monkeypatch):
+        """Stepping over the newest point's faces gives the all-faces result,
+        and never exceeds the QP minimum beyond the pair-bound slack."""
+        pairs = gjk_stacks(np.random.default_rng(41))
+        A = padded([np.asarray(a, dtype=float) for a, _ in pairs])
+        B = padded([np.asarray(b, dtype=float) for _, b in pairs])
+        lo, hi = hull_sq_dist_bounds(A, B)
+        monkeypatch.setattr(spatial, "_closest_on_simplex", all_faces_closest)
+        lo_ref, hi_ref = hull_sq_dist_bounds(A, B)
+        np.testing.assert_allclose(lo, lo_ref, rtol=5e-9, atol=1e-12)
+        assert np.array_equal(hi, hi_ref)
+        qp = np.array([qp_min_sq_dist(a, b) for a, b in pairs])
+        assert np.all(lo <= qp + CONTAIN_SLACK)
+        assert np.all(lo[qp <= 1e-12] == 0.0)
+
+    def test_exit_without_certificate_is_a_lower_bound(self, qp_min_sq_dist, monkeypatch):
+        """A pair cut off by the iteration cap returns its support-plane
+        bound, not the squared norm of an uncertified closest point."""
+        rng = np.random.default_rng(42)
+        pairs = gjk_stacks(rng) + [(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)) + 3.0)
+                                   for _ in range(20)]
+        A = padded([np.asarray(a, dtype=float) for a, _ in pairs])
+        B = padded([np.asarray(b, dtype=float) for _, b in pairs])
+        converged = hull_sq_dist_bounds(A, B)[0]
+        monkeypatch.setattr(spatial, "_GJK_MAX_ITER", 1)
+        capped = hull_sq_dist_bounds(A, B)[0]
+        qp = np.array([qp_min_sq_dist(a, b) for a, b in pairs])
+        assert np.all(capped >= 0.0)
+        assert np.all(capped <= qp + 1e-12)
+        assert np.all(capped <= converged + 1e-12)
+        assert np.any(capped < converged - 1e-3)  # the cap did cut some pairs short
