@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -12,12 +13,16 @@ import numpy as np
 from .cloud import Cloud
 from .miqcqp import SolverError, external_lower_bound
 from .reduce import PairSet, reduce_pairs
-from .relax import compute_pair_set
-from .rotation import AngleBox
+from .relax import POINT_SLACK, compute_pair_set
+from .rotation import AngleBox, rotation_from_angles, rotation_jacobian
 from .search import Evaluation, evaluate_ub
+from .spatial import _cross
 
 MIN_BOX_WIDTH = 1e-7  # radians; axes narrower than this are not split
 GAP_DENOM_EPS = 1e-9
+# every axis free (0), at its lower (1) or at its upper bound (2): the active
+# sets of a 3-variable box-constrained problem
+_ACTIVE_SETS = np.array(list(itertools.product(range(3), repeat=3)))
 
 
 @dataclass
@@ -58,28 +63,94 @@ def branch(node: Node) -> list[Node]:
 def builtin_lower_bound(pairs: PairSet) -> float:
     """Valid lower bound: every hat point must match one of its retained
     candidates, and c_lo bounds that pair's squared distance over the box."""
-    per_i = np.full(pairs.n_hat, np.inf)
-    np.minimum.at(per_i, pairs.i, pairs.c_lo)
-    return float(per_i.sum())
+    return float(pairs.min_c_lo_per_i().sum())
+
+
+def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarray:
+    """Candidate minimisers of d @ H @ d + 2 g @ d over |d_k| <= hw_k, one per
+    active set, shape (27, 3), all inside the box.
+
+    For each active set the fixed axes sit at their bound and the free ones
+    solve their rows of the stationarity condition H d = -g (Cramer's rule);
+    the result is clipped into the box. With H positive definite on the free
+    axes, the candidate of the optimum's active set is the optimum.
+    """
+    free = _ACTIVE_SETS == 0
+    M = np.where(free[:, :, None], H, np.eye(3))
+    rhs = np.where(free, -g, np.where(_ACTIVE_SETS == 1, -hw, hw))
+    c12, c20, c01 = _cross(M[:, 1], M[:, 2]), _cross(M[:, 2], M[:, 0]), _cross(M[:, 0], M[:, 1])
+    det = np.einsum("ck,ck->c", M[:, 0], c12)
+    d = rhs[:, :1] * c12 + rhs[:, 1:2] * c20 + rhs[:, 2:] * c01
+    return np.clip(d / np.where(det != 0, det, 1.0)[:, None], -hw, hw)
+
+
+def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -> float:
+    """Lower bound that shares one rotation among the points with a single
+    surviving partner.
+
+    After reduction, a hat point i with exactly one candidate j has j as its
+    nearest partner wherever the objective is at or below the upper bound the
+    set was reduced with. Over those angles the objective is at least
+    sum_single ||g_ij(c + d)||^2 + M, with M = sum_multi min_j c_lo_ij and
+    g_ij the pair's offset at the box midpoint c shifted by d. Linearising,
+    g_ij = g0 + J d + e with ||e|| <= rho_ij = (sum_k hw_k)^2 (||l_i|| + ||l_j||) / 2,
+    since every second partial of R applied to l has norm at most ||l||. With
+    Q the minimum of sum ||g0 + J d||^2 over the box, the bound is
+    (sqrt(Q) - ||rho||)_+^2 + M (Minkowski). Q is certified from a candidate
+    minimiser by the convexity cut, so its accuracy does not matter.
+    """
+    counts = np.bincount(pairs.i, minlength=pairs.n_hat)
+    multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
+    single = counts[pairs.i] == 1
+    if not single.any():
+        return multi
+    i, j = pairs.i[single], pairs.j[single]
+    mid = box.midpoint()
+    hw = 0.5 * box.widths()
+    R, dR = rotation_from_angles(mid), rotation_jacobian(mid)
+
+    def placed(cloud: Cloud, ids: np.ndarray):
+        """INS-rotated R(c) l and its partials, (n, 3) and (n, 3, 3)."""
+        ins, l = cloud.ins_rotation[ids], cloud.l[ids]
+        return (np.einsum("nij,nj->ni", ins, l @ R.T),
+                np.einsum("nij,nkj->nik", ins, (l @ dR.reshape(9, 3).T).reshape(-1, 3, 3)))
+
+    (hv, hJ), (bv, bJ) = placed(hat, i), placed(bar, j)
+    # the s-difference first: UTM-scale positions cancel exactly. The terms
+    # are closed-form products, exact up to rounding like a single-vertex
+    # polytope, so each rho is widened by POINT_SLACK
+    b = ((hat.s[i] - bar.s[j]) + (hv - bv)).reshape(-1)
+    A = (hJ - bJ).reshape(-1, 3)
+    rho = (0.5 * hw.sum() ** 2 * (np.linalg.norm(hat.l[i], axis=1)
+                                  + np.linalg.norm(bar.l[j], axis=1)) + POINT_SLACK)
+    cands = _box_qp_candidates(A.T @ A, A.T @ b, hw)
+    res = A @ cands.T + b[:, None]
+    k = np.argmin(np.einsum("rc,rc->c", res, res))
+    d, r = cands[k], res[:, k]
+    grad = 2.0 * (A.T @ r)
+    q = max(0.0, float(r @ r - grad @ d - np.abs(grad) @ hw))
+    return max(0.0, math.sqrt(q) - math.sqrt(float(rho @ rho))) ** 2 + multi
 
 
 def node_lower_bound(
     node: Node,
-    hat: Cloud | None = None,
-    bar: Cloud | None = None,
+    hat: Cloud,
+    bar: Cloud,
     solver_cmd: str | None = None,
     t_max: float = 30.0,
     parent_lower: float = 0.0,
     node_upper: float = np.inf,
 ) -> float:
-    """Lower bound for the node; never below the parent's (monotone by construction).
+    """Lower bound for the node: the largest of the parent's (monotone by
+    construction), the per-point and the coupled bound.
 
     With solver_cmd, the external solver's bound on the node's MIQCQP model
     is used where it is larger. node_upper is the objective at some angle in
     the node box (the solver passes the box midpoint's), so no valid lower
     bound exceeds it; an external bound above it is rejected.
     """
-    value = max(builtin_lower_bound(node.pairs), parent_lower)
+    value = max(parent_lower, builtin_lower_bound(node.pairs),
+                coupled_lower_bound(node.pairs, node.box, hat, bar))
     if solver_cmd is not None:
         external = external_lower_bound(hat, bar, node.pairs, node.box, solver_cmd,
                                         t_max, node_upper)

@@ -306,8 +306,8 @@ def parse_model(path: str) -> MiqcqpModel:
 
 
 def external_lower_bound(
-    hat: Cloud | None,
-    bar: Cloud | None,
+    hat: Cloud,
+    bar: Cloud,
     pairs: PairSet,
     box: AngleBox,
     solver_cmd: str,
@@ -318,9 +318,6 @@ def external_lower_bound(
     its last `LOWER <value>` stdout line. None, with a warning, when the call
     fails or times out, prints no such line, or the value is not finite or
     exceeds node_upper (the objective at an angle in the box)."""
-    if hat is None or bar is None:
-        log.warning("external lower bound requested without clouds; using builtin")
-        return None
     path = None
     try:
         model = build_miqcqp(hat, bar, pairs, box)

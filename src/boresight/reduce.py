@@ -53,6 +53,11 @@ class PairSet:
     def candidates_for(self, i: int) -> np.ndarray:
         return self.j[self.i == i]
 
+    def min_c_lo_per_i(self) -> np.ndarray:
+        out = np.full(self.n_hat, np.inf)
+        np.minimum.at(out, self.i, self.c_lo)
+        return out
+
     def min_c_hi_per_i(self) -> np.ndarray:
         out = np.full(self.n_hat, np.inf)
         np.minimum.at(out, self.i, self.c_hi)
@@ -64,8 +69,12 @@ class PairSet:
         return bool(present.all())
 
     def select(self, mask: np.ndarray) -> "PairSet":
-        return PairSet(n_hat=self.n_hat, i=self.i[mask], j=self.j[mask],
-                       c_lo=self.c_lo[mask], c_hi=self.c_hi[mask])
+        """The pairs where mask is true. A subset of a valid set is valid, so
+        the result skips the checks that construction runs."""
+        out = object.__new__(PairSet)
+        out.n_hat, out.i, out.j = self.n_hat, self.i[mask], self.j[mask]
+        out.c_lo, out.c_hi = self.c_lo[mask], self.c_hi[mask]
+        return out
 
 
 @dataclass

@@ -208,12 +208,13 @@ def _polytopes(L: np.ndarray, ri: RotationInterval):
             pts.append(p)
     # numerically over-tight cuts leave no vertex: fall back to the box alone,
     # still a valid enclosure, whose 8 corners always pass
-    empty = np.setdiff1d(np.arange(len(L)), np.concatenate(rows))
-    m[empty] = 6
-    r, p = _vertices(A[empty, :6], b[empty, :6])
-    rows.append(empty[r])
-    pts.append(p)
     row = np.concatenate(rows)
+    empty = np.flatnonzero(np.bincount(row, minlength=len(L)) == 0)
+    if empty.size:
+        m[empty] = 6
+        r, p = _vertices(A[empty, :6], b[empty, :6])
+        row = np.concatenate([row, empty[r]])
+        pts.append(p)
     order = np.argsort(row, kind="stable")
     V, nv, _ = _pad(row[order], np.concatenate(pts)[order], len(L), 0.0)
     center = V.sum(axis=1) / nv[:, None]

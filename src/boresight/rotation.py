@@ -148,6 +148,34 @@ def rotation_matrices(alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray)
     return out
 
 
+def rotation_jacobian(angles: EulerAngles) -> np.ndarray:
+    """Partial derivatives of R(alpha, beta, gamma), shape (3, 3, 3): entry k
+    is dR/d(angle k), angles ordered (alpha, beta, gamma)."""
+    ca, sa = math.cos(angles.alpha), math.sin(angles.alpha)
+    cb, sb = math.cos(angles.beta), math.sin(angles.beta)
+    cg, sg = math.cos(angles.gamma), math.sin(angles.gamma)
+    return np.array(
+        [
+            [
+                [0.0, 0.0, 0.0],
+                [-sa * sg + ca * sb * cg, -sa * cg - ca * sb * sg, -cb * ca],
+                [ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb],
+            ],
+            [
+                [-sb * cg, sb * sg, cb],
+                [sa * cb * cg, -sa * cb * sg, sb * sa],
+                [-ca * cb * cg, ca * cb * sg, -ca * sb],
+            ],
+            [
+                [-cb * sg, -cb * cg, 0.0],
+                [ca * cg - sa * sb * sg, -ca * sg - sa * sb * cg, 0.0],
+                [sa * cg + ca * sb * sg, -sa * sg + ca * sb * cg, 0.0],
+            ],
+        ],
+        dtype=float,
+    )
+
+
 def matrix_to_angles(R: np.ndarray) -> EulerAngles:
     """Recover (alpha, beta, gamma) from a rotation matrix. Assumes |beta| < pi/2."""
     R = np.asarray(R, dtype=float)

@@ -1,6 +1,6 @@
 """Acceptance gate: one criterion per test, one printed PASS/FAIL line each.
 
-Criteria 1-7 and 9 run on synthetic data at desk scale. Criterion 8 (reproduction on
+Criteria 1-7, 9 and 10 run on synthetic data at desk scale. Criterion 8 (reproduction on
 the released survey datasets) needs external files and is skipped unless the
 BORESIGHT_DATASET_DIR environment variable is set; see
 scripts/reproduce_full_scale.py for the out-of-CI procedure.
@@ -289,4 +289,41 @@ def test_criterion_9_noisy_branching_certificate(capsys):
              f"{report.nodes_explored} nodes ({report.converged_by}) in {t_nsbb:.1f}s, "
              f"f_lower {report.f_lower:.6g} <= grid min {grid_min:.6g}, "
              f"f_upper {report.f_upper:.6g}")
+    assert ok
+
+
+def test_criterion_10_w3_certificate_at_one_percent(capsys):
+    """W3, the noisy 10x20 scene over the +-2 degree box with an aGS warm
+    start, certified at eps_rel = 0.01: f_lower at or below the minimum of a
+    25^3 grid of the box and of an 11^3 grid of +-0.02 degrees around the
+    incumbent, f_upper within the tolerance of the latter, and the incumbent
+    an evaluated point of the box; < 5 s."""
+    hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=600)
+    box = AngleBox.symmetric_deg(2.0)
+    eps_rel = 0.01
+    best = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5))
+    t0 = time.monotonic()
+    report = nsbb_solve(hat, bar, box, eps_rel=eps_rel, eps_abs=1e-6, f_upper_init=best)
+    t_nsbb = time.monotonic() - t0
+
+    def grid_min(centre, half, n):
+        axes = [np.linspace(c - half, c + half, n) for c in centre]
+        return min(evaluate_ub(hat, bar, EulerAngles(a, b, g)).objective
+                   for a in axes[0] for b in axes[1] for g in axes[2])
+
+    inc = report.incumbent.angles.as_array()
+    box_min = grid_min(np.zeros(3), math.radians(2.0), 25)
+    sharp_min = grid_min(inc, math.radians(0.02), 11)
+    ok = (report.nodes_explored > 0
+          and report.converged_by in ("gap_rel", "gap_abs", "exhausted")
+          and report.f_lower <= box_min
+          and report.f_lower <= sharp_min
+          and report.f_upper <= sharp_min / (1.0 - eps_rel)
+          and report.f_upper == evaluate_ub(hat, bar, report.incumbent.angles).objective
+          and bool(np.all((box.lows() <= inc) & (inc <= box.highs())))
+          and t_nsbb < 5.0)
+    announce(capsys, 10, ok,
+             f"{report.nodes_explored} nodes ({report.converged_by}) in {t_nsbb:.1f}s, "
+             f"f_lower {report.f_lower:.6g} <= sharp grid min {sharp_min:.6g}, "
+             f"f_upper {report.f_upper:.6g}, gap_rel {report.gap_rel:.3g}")
     assert ok

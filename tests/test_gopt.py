@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from boresight import gopt
+from boresight.cloud import Cloud, synth_generate
 from boresight.gopt import (
     Node,
     branch,
     builtin_lower_bound,
+    coupled_lower_bound,
     node_lower_bound,
     nsbb_solve,
     relative_gap,
@@ -79,7 +81,7 @@ class TestLowerBound:
         box = AngleBox(theta.alpha, theta.alpha, theta.beta, theta.beta,
                        theta.gamma, theta.gamma)
         node = make_node(hat, bar, box)
-        lb = node_lower_bound(node)
+        lb = node_lower_bound(node, hat, bar)
         f = evaluate_ub(hat, bar, theta).objective
         assert lb <= f + 1e-6
         assert lb >= f - 1e-6 * (1 + len(hat))
@@ -88,17 +90,106 @@ class TestLowerBound:
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(0.5)
         node = make_node(hat, bar, box)
-        lb = node_lower_bound(node)
+        lb = node_lower_bound(node, hat, bar)
         rng = np.random.default_rng(1)
         best = min(
             evaluate_ub(hat, bar, EulerAngles(*t)).objective for t in box.sample(rng, 200)
         )
         assert lb <= best + 1e-9
 
-    def test_monotone_in_parent(self):
+    def test_monotone_in_parent(self, tiny_scene):
+        hat, bar, _ = tiny_scene
         ps = PairSet(n_hat=1, i=[0], j=[0], c_lo=[0.5], c_hi=[1.0])
         node = Node(box=AngleBox.symmetric_deg(1.0), pairs=ps, lower=0.0, depth=1, id=0)
-        assert node_lower_bound(node, parent_lower=0.9) == pytest.approx(0.9)
+        assert node_lower_bound(node, hat, bar, parent_lower=0.9) == pytest.approx(0.9)
+
+
+def box_around(center: np.ndarray, half_deg: float) -> AngleBox:
+    h = math.radians(half_deg)
+    return AngleBox.from_arrays(center - h, center + h)
+
+
+def grid_min(hat, bar, box: AngleBox, n: int = 7) -> float:
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows(), box.highs())]
+    return min(evaluate_ub(hat, bar, EulerAngles(a, b, g)).objective
+               for a in axes[0] for b in axes[1] for g in axes[2])
+
+
+@pytest.fixture(scope="module")
+def noisy_scene():
+    hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=3)
+    return hat, bar
+
+
+class TestCoupledLowerBound:
+    """Grid oracle: wherever the box holds an angle whose objective is at or
+    below the upper bound the pairs were reduced with, the coupled bound is
+    at most the objective there."""
+
+    OFF_CENTRE = PLANTED.as_array() + np.radians([0.05, -0.03, 0.04])
+
+    def reduced(self, hat, bar, box):
+        f_upper = evaluate_ub(hat, bar, box.midpoint()).objective
+        red = reduce_pairs(compute_pair_set(hat, bar, box, f_upper=f_upper), f_upper)
+        assert not red.infeasible
+        return red.pairs, f_upper
+
+    @pytest.mark.parametrize("scene", ["tiny", "noisy"])
+    @pytest.mark.parametrize("centre,half_deg", [
+        ("planted", 0.005), ("planted", 0.02), ("planted", 0.1), ("planted", 0.5),
+        ("off", 0.005), ("off", 0.02), ("off", 0.1), ("off", 0.5),
+    ])
+    def test_never_exceeds_grid_minimum(self, scene, centre, half_deg, tiny_scene,
+                                        noisy_scene):
+        hat, bar = tiny_scene[:2] if scene == "tiny" else noisy_scene
+        box = box_around(PLANTED.as_array() if centre == "planted" else self.OFF_CENTRE,
+                         half_deg)
+        pairs, f_upper = self.reduced(hat, bar, box)
+        lb = coupled_lower_bound(pairs, box, hat, bar)
+        assert min(f_upper, lb) <= grid_min(hat, bar, box) + 1e-12
+
+    def test_tighter_than_per_point_bound_on_narrow_boxes(self, noisy_scene):
+        hat, bar = noisy_scene
+        box = box_around(PLANTED.as_array(), 0.005)
+        pairs, _ = self.reduced(hat, bar, box)
+        assert coupled_lower_bound(pairs, box, hat, bar) > builtin_lower_bound(pairs) > 0.0
+
+    def test_degenerate_box_matches_objective(self, tiny_scene):
+        hat, bar, _ = tiny_scene
+        theta = EulerAngles.from_degrees(0.3, -0.2, 0.1)
+        box = AngleBox(theta.alpha, theta.alpha, theta.beta, theta.beta,
+                       theta.gamma, theta.gamma)
+        pairs = make_node(hat, bar, box).pairs
+        lb = coupled_lower_bound(pairs, box, hat, bar)
+        f = evaluate_ub(hat, bar, theta).objective
+        assert abs(lb - f) <= 1e-6 * (1 + len(hat))
+
+    def test_no_single_partner_point_gives_the_per_point_sum(self, tiny_scene):
+        hat, bar, _ = tiny_scene
+        ps = PairSet(n_hat=2, i=[0, 0, 1, 1], j=[0, 1, 2, 3],
+                     c_lo=[0.5, 0.25, 1.0, 2.0], c_hi=[3.0, 3.0, 4.0, 4.0])
+        box = AngleBox.symmetric_deg(0.01)
+        assert coupled_lower_bound(ps, box, hat, bar) == builtin_lower_bound(ps) == 1.25
+
+    def test_utm_offset_invariance(self, noisy_scene):
+        """Adding (5e5, 5e6, 0) rounds s by up to 4.7e-10 m; the bound on the
+        shifted clouds equals the bound on clouds carrying that same rounding,
+        and differs from the unshifted one only by what the rounding moves."""
+        hat, bar = noisy_scene
+        offset = np.array([5e5, 5e6, 0.0])
+
+        def moved(cloud, back):
+            return Cloud(cloud.l, cloud.ins_rotation, cloud.s + offset - back)
+
+        for box in (box_around(PLANTED.as_array(), 0.005), box_around(self.OFF_CENTRE, 0.02),
+                    box_around(PLANTED.as_array(), 0.1)):
+            pairs, _ = self.reduced(hat, bar, box)
+            plain = coupled_lower_bound(pairs, box, hat, bar)
+            shifted = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
+            rounded = coupled_lower_bound(pairs, box, moved(hat, offset), moved(bar, offset))
+            assert plain > 0.0
+            assert shifted == pytest.approx(rounded, rel=1e-9)
+            assert shifted == pytest.approx(plain, rel=1e-8)
 
 
 class TestNsbbSolve:

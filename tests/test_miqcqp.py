@@ -206,7 +206,7 @@ class TestExternalAdapter:
         return str(path)
 
     def test_external_bound_used_when_larger(self, tiny_scene, tmp_path):
-        # builtin bound ~17.8 < LOWER 20 < midpoint objective ~25.0
+        # internal bound ~18.5 < LOWER 20 < midpoint objective ~25.0
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(0.1)
         node = make_node(hat, bar, box)
@@ -219,7 +219,7 @@ class TestExternalAdapter:
     def test_failing_adapter_falls_back_to_builtin(self, tiny_scene, tmp_path):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node)
+        builtin = node_lower_bound(node, hat, bar)
         cmd = self.write_script(tmp_path, "exit 3")
         lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd)
         assert lb == pytest.approx(builtin)
@@ -227,7 +227,7 @@ class TestExternalAdapter:
     def test_garbage_output_falls_back(self, tiny_scene, tmp_path):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node)
+        builtin = node_lower_bound(node, hat, bar)
         cmd = self.write_script(tmp_path, 'echo "no bound here"')
         lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd)
         assert lb == pytest.approx(builtin)
@@ -238,7 +238,7 @@ class TestExternalAdapter:
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(0.1)
         node = make_node(hat, bar, box)
-        builtin = node_lower_bound(node)
+        builtin = node_lower_bound(node, hat, bar)
         node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
         cmd = self.write_script(tmp_path, f'echo "LOWER {value}"')
         model_dir = tmp_path / "models"
@@ -263,6 +263,6 @@ class TestExternalAdapter:
     def test_missing_adapter_uses_builtin(self, tiny_scene):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node)
+        builtin = node_lower_bound(node, hat, bar)
         lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=None)
         assert lb == pytest.approx(builtin)

@@ -30,9 +30,25 @@ class TestPairSet:
         with pytest.raises(ValueError):
             make_pairs([(0, 1, 3.0, 1.0)])
 
+    def test_rejects_negative_lower_bound(self):
+        with pytest.raises(ValueError):
+            make_pairs([(0, 1, -1.0, 1.0)])
+
+    def test_select_returns_the_masked_arrays(self):
+        ps = make_pairs([(0, 0, 0.5, 4.0), (0, 1, 0.0, 2.0), (1, 0, 1.0, 7.0), (1, 2, 2.0, 3.0)])
+        mask = np.array([True, False, True, True])
+        sub = ps.select(mask)
+        assert isinstance(sub, PairSet) and sub.n_hat == ps.n_hat
+        for name in ("i", "j", "c_lo", "c_hi"):
+            got, full = getattr(sub, name), getattr(ps, name)
+            assert got.dtype == full.dtype
+            assert np.array_equal(got, full[mask])
+
     def test_min_c_hi_per_i(self):
         ps = make_pairs([(0, 0, 0, 4.0), (0, 1, 0, 2.0), (1, 0, 0, 7.0)])
         assert np.allclose(ps.min_c_hi_per_i(), [2.0, 7.0])
+        ps = make_pairs([(0, 0, 1.5, 4.0), (0, 1, 0.5, 2.0), (1, 0, 3.0, 7.0)])
+        assert np.allclose(ps.min_c_lo_per_i(), [0.5, 3.0])
 
 
 class TestReducePairs:

@@ -274,6 +274,42 @@ class TestBatchedPolytopes:
         assert np.allclose(V[:, 0], L @ rotation_from_angles(a).T, atol=1e-9)
         assert np.all(radius == 0.0)
 
+    def test_vertex_pass_never_gets_an_empty_batch(self, small_scene, monkeypatch):
+        """Only systems that have rows reach _vertices: the box-only fallback
+        runs just when some point's cuts left no vertex."""
+        hat, bar, _ = small_scene
+        batches = []
+        kernel = relax._vertices
+
+        def recording(A, b):
+            batches.append(len(A))
+            return kernel(A, b)
+
+        monkeypatch.setattr(relax, "_vertices", recording)
+        for half in (2.0, 0.1, 0.0):
+            compute_pair_set(hat, bar, AngleBox.from_arrays(PLANTED.as_array() - math.radians(half),
+                                                            PLANTED.as_array() + math.radians(half)))
+        assert batches and min(batches) > 0
+
+    def test_points_left_without_vertices_fall_back_to_the_box(self, monkeypatch):
+        box = AngleBox.symmetric_deg(2.0)
+        L = np.array([[5.0, 1.0, -20.0], [-30.0, 3.0, 12.0]])
+        kernel = relax._vertices
+
+        def over_tight(A, b):
+            row, pts = kernel(A, b)
+            keep = A.shape[1] == 6  # only the box-only systems keep their vertices
+            return row[:len(row) * keep], pts[:len(pts) * keep]
+
+        monkeypatch.setattr(relax, "_vertices", over_tight)
+        A, b, m, V, nv, _, _ = relax._polytopes(L, rotation_interval(box))
+        lo, hi = relax._reach_bounds(rotation_interval(box), L)
+        assert np.all(m == 6) and np.all(nv == 8)
+        for k in range(len(L)):
+            corners = np.where(relax._CORNERS, hi[k], lo[k])
+            d = np.linalg.norm(V[k][:, None] - corners[None], axis=2)
+            assert d.min(axis=0).max() <= 1e-9 and d.min(axis=1).max() <= 1e-9
+
     def test_dedup_keeps_greedy_semantics(self):
         # chains a ~ b ~ c with a !~ c: greedy keeps a, drops b, keeps c
         rng = np.random.default_rng(32)

@@ -14,6 +14,7 @@ from boresight.rotation import (
     rotation_from_angles,
     rotation_from_quad,
     rotation_interval,
+    rotation_jacobian,
     rotation_matrices,
     trig_bounds,
 )
@@ -240,3 +241,16 @@ class TestRotationInterval:
             assert ri.contains(R, tol=1e-15)
             assert ri.widths().max() <= 6 * half + 1e-12
         np.testing.assert_allclose(ri.midpoint(), R, atol=1e-5)
+
+
+class TestRotationJacobian:
+    @pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (0.0175, -0.0087, 0.0044),
+                                        (0.4, -1.1, 2.5), (-2.9, 1.3, -0.7)])
+    def test_matches_central_differences(self, angles):
+        J = rotation_jacobian(EulerAngles(*angles))
+        h = 1e-5
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = h
+            (plus, minus) = rotation_matrices(*np.array([angles + step, angles - step]).T)
+            np.testing.assert_allclose(J[k], (plus - minus) / (2 * h), rtol=0, atol=1e-8)
