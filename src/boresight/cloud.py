@@ -255,16 +255,15 @@ def synth_generate(
     noise_sigma: float,
     seed: int,
     object_fraction: float = 0.6,
-    shared_surface: bool = True,
 ) -> tuple[Cloud, Cloud, GroundTruth]:
     """Two overlapping synthetic scans from opposite flight lines.
 
     Mapping-frame surface points are drawn from the scene, trajectories are
     simulated, and scanner-frame returns are back-computed through the
     planted boresight (plus optional isotropic Gaussian noise on the returns).
-    With shared_surface=True the first n_hat bar returns hit the same surface
-    points as the hat returns, so the noise-free objective at the planted
-    angles is exactly zero.
+    The first n_hat bar returns hit the same surface points as the hat
+    returns, so the noise-free objective at the planted angles is exactly
+    zero.
     """
     if n_hat < 1 or n_bar < 1:
         raise ValueError("cloud sizes must be >= 1")
@@ -274,11 +273,8 @@ def synth_generate(
         raise ValueError("noise_sigma must be >= 0")
     rng = np.random.default_rng(seed)
     p_bar, bar_on_object = _sample_surface(rng, n_bar, object_fraction)
-    if shared_surface:
-        p_hat = p_bar[:n_hat].copy()
-        hat_on_object = bar_on_object[:n_hat].copy()
-    else:
-        p_hat, hat_on_object = _sample_surface(rng, n_hat, object_fraction)
+    p_hat = p_bar[:n_hat].copy()
+    hat_on_object = bar_on_object[:n_hat].copy()
 
     s_hat, R_hat = _trajectory(n_hat, np.array([-25.0, -8.0, 30.0]), np.array([50.0, 0.0, 0.0]), 3.0, 0.0)
     s_bar, R_bar = _trajectory(n_bar, np.array([25.0, 8.0, 32.0]), np.array([-50.0, 0.0, 0.0]), 177.0, 0.7)

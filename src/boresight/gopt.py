@@ -229,9 +229,14 @@ def nsbb_solve(
             return "gap_rel"
         return None
 
+    def out_of_time() -> bool:
+        return time_limit is not None and time.monotonic() - t0 >= time_limit
+
     reason = None
     if rep.f_upper <= eps_abs:  # the trivial bound 0 closes the gap: no pair set needed
         reason = "gap_abs"
+    elif out_of_time():  # the root pair set is not interruptible: do not start it
+        reason = "time_limit"
     else:
         root_pairs = compute_pair_set(hat, bar, box, None, f_upper=rep.f_upper)
         red = reduce_pairs(root_pairs, rep.f_upper)
@@ -251,7 +256,7 @@ def nsbb_solve(
         if max_nodes is not None and rep.nodes_explored >= max_nodes:
             reason = "node_limit"
             break
-        if time_limit is not None and time.monotonic() - t0 >= time_limit:
+        if out_of_time():
             reason = "time_limit"
             break
         _, _, _, node = heapq.heappop(queue)

@@ -17,7 +17,7 @@ import numpy as np
 from .cloud import Cloud
 from .reduce import PairSet
 from .relax import _reach_bounds
-from .rotation import AngleBox, rotation_interval, trig_bounds
+from .rotation import ROTATION_MONOMIALS, AngleBox, rotation_interval, trig_bounds
 
 log = logging.getLogger(__name__)
 
@@ -73,33 +73,12 @@ class MiqcqpModel:
         return worst
 
 
-# rotation matrix entries as sums of monomials in the 8 rotation variables;
-# each term is (coefficient, variable names)
-_ROT_ENTRIES: list[list[tuple[float, tuple[str, ...]]]] = [
-    [(1.0, ("u_beta", "u_gamma"))],
-    [(-1.0, ("u_beta", "v_gamma"))],
-    [(1.0, ("v_beta",))],
-    [(1.0, ("u_alpha", "v_gamma")), (1.0, ("v_alpha", "w_gb"))],
-    [(1.0, ("u_alpha", "u_gamma")), (-1.0, ("v_alpha", "w_bg"))],
-    [(-1.0, ("u_beta", "v_alpha"))],
-    [(1.0, ("v_alpha", "v_gamma")), (-1.0, ("u_alpha", "w_gb"))],
-    [(1.0, ("v_alpha", "u_gamma")), (1.0, ("u_alpha", "w_bg"))],
-    [(1.0, ("u_alpha", "u_beta"))],
-]
-
-
 def build_miqcqp(hat: Cloud, bar: Cloud, pairs: PairSet, box: AngleBox) -> MiqcqpModel:
     """Quadratically constrained model of the alignment problem on the
     retained pairs, with variable bounds tightened to the angle box."""
     if pairs.size == 0 or not pairs.covers_all_i():
         raise SolverError("pair set leaves some hat point without candidates")
-    tb = trig_bounds(box)
-    variables: list[Variable] = []
-    for axis, name in enumerate(("alpha", "beta", "gamma")):
-        variables.append(Variable(f"u_{name}", float(tb.u[axis, 0]), float(tb.u[axis, 1]), "C"))
-        variables.append(Variable(f"v_{name}", float(tb.v[axis, 0]), float(tb.v[axis, 1]), "C"))
-    variables.append(Variable("w_gb", tb.w_gb[0], tb.w_gb[1], "C"))
-    variables.append(Variable("w_bg", tb.w_bg[0], tb.w_bg[1], "C"))
+    variables = [Variable(name, lo, hi, "C") for name, (lo, hi) in trig_bounds(box).items()]
 
     hat_ids = np.unique(pairs.i)
     bar_ids = np.unique(pairs.j)
@@ -155,7 +134,7 @@ def build_miqcqp(hat: Cloud, bar: Cloud, pairs: PairSet, box: AngleBox) -> Miqcq
                     coef0 = -R_ins[e, r] * l[c]
                     if coef0 == 0.0:
                         continue
-                    for term_coef, names in _ROT_ENTRIES[3 * r + c]:
+                    for term_coef, names in ROTATION_MONOMIALS[3 * r + c]:
                         coef = coef0 * term_coef
                         if len(names) == 2:
                             key = tuple(sorted(names))

@@ -61,31 +61,10 @@ def _pad(row: np.ndarray, pts: np.ndarray, n: int, fill: float):
     return out, counts, pos
 
 
-@dataclass(frozen=True)
-class ReachBox:
-    """Componentwise interval enclosure of R(angles) @ l over an angle box."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        p = np.atleast_2d(points)
-        return np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=1)
-
-
 def _reach_bounds(ri: RotationInterval, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval matrix products of the rotation enclosure with every row of L (n, 3)."""
     lo, hi = ri.lo * L[:, None, :], ri.hi * L[:, None, :]
     return np.minimum(lo, hi).sum(axis=2), np.maximum(lo, hi).sum(axis=2)
-
-
-def reach_box(l: np.ndarray, box: AngleBox) -> ReachBox:
-    """Interval matrix-vector product of the rotation enclosure with l."""
-    lo, hi = _reach_bounds(rotation_interval(box), np.asarray(l, dtype=float)[None])
-    return ReachBox(lo=lo[0], hi=hi[0])
 
 
 @dataclass(frozen=True)
@@ -227,11 +206,6 @@ def build_polytope(l: np.ndarray, box: AngleBox) -> UncertaintyPolytope:
     """Convex enclosure of the reachable positions of l over the angle box."""
     A, b, m, V, nv, c, r = _polytopes(np.asarray(l, dtype=float)[None], rotation_interval(box))
     return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]], c[0], float(r[0]))
-
-
-def transform_polytope(p: UncertaintyPolytope, s: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Vertices of the enclosure after the rigid INS transform: {s + R v}."""
-    return np.asarray(s, dtype=float) + p.vertices @ np.asarray(R, dtype=float).T
 
 
 def _world_polytopes(cloud: Cloud, ids: np.ndarray, ri: RotationInterval):

@@ -7,13 +7,32 @@ internally; degrees appear only at user-facing boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-12
 QUAD_TOL = 1e-9
+
+# The entries of R = Rx Ry Rz, row-major, as sums of monomials in the eight
+# variables of the quadratic parameterization: u_i = cos and v_i = sin of
+# angle i, and the products w_gb = u_gamma * v_beta, w_bg = v_beta * v_gamma.
+# Each term is (coefficient, variable names). rotation_from_quad,
+# rotation_interval and the MIQCQP georeference constraints all read R from
+# this table.
+ROTATION_MONOMIALS: list[list[tuple[float, tuple[str, ...]]]] = [
+    [(1.0, ("u_beta", "u_gamma"))],
+    [(-1.0, ("u_beta", "v_gamma"))],
+    [(1.0, ("v_beta",))],
+    [(1.0, ("u_alpha", "v_gamma")), (1.0, ("v_alpha", "w_gb"))],
+    [(1.0, ("u_alpha", "u_gamma")), (-1.0, ("v_alpha", "w_bg"))],
+    [(-1.0, ("u_beta", "v_alpha"))],
+    [(1.0, ("v_alpha", "v_gamma")), (-1.0, ("u_alpha", "w_gb"))],
+    [(1.0, ("v_alpha", "u_gamma")), (1.0, ("u_alpha", "w_bg"))],
+    [(1.0, ("u_alpha", "u_beta"))],
+]
 
 
 def _require_finite(**named: float) -> None:
@@ -207,14 +226,11 @@ def rotation_from_quad(
         raise ValueError("w_gb inconsistent with u_gamma * v_beta")
     if abs(w_bg - v_beta * v_gamma) > QUAD_TOL:
         raise ValueError("w_bg inconsistent with v_beta * v_gamma")
-    return np.array(
-        [
-            [u_beta * u_gamma, -u_beta * v_gamma, v_beta],
-            [u_alpha * v_gamma + v_alpha * w_gb, u_alpha * u_gamma - v_alpha * w_bg, -u_beta * v_alpha],
-            [v_alpha * v_gamma - u_alpha * w_gb, v_alpha * u_gamma + u_alpha * w_bg, u_alpha * u_beta],
-        ],
-        dtype=float,
-    )
+    x = dict(u_alpha=u_alpha, v_alpha=v_alpha, u_beta=u_beta, v_beta=v_beta,
+             u_gamma=u_gamma, v_gamma=v_gamma, w_gb=w_gb, w_bg=w_bg)
+    entries = [functools.reduce(operator.add, (c * math.prod(x[n] for n in names) for c, names in terms))
+               for terms in ROTATION_MONOMIALS]
+    return np.array(entries, dtype=float).reshape(3, 3)
 
 
 # --- interval arithmetic helpers (closed intervals as (lo, hi) tuples) ---
@@ -226,10 +242,6 @@ def _imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
 
 def _iadd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _ineg(a: tuple[float, float]) -> tuple[float, float]:
-    return (-a[1], -a[0])
 
 
 def _cos_interval(lo: float, hi: float) -> tuple[float, float]:
@@ -250,36 +262,22 @@ def _sin_interval(lo: float, hi: float) -> tuple[float, float]:
     return (max(-1.0, min(cands)), min(1.0, max(cands)))
 
 
-@dataclass(frozen=True)
-class TrigBounds:
-    """Enclosures of cos/sin (u/v) per angle over a box, plus the w products.
-
-    u and v are (3, 2) arrays, rows ordered (alpha, beta, gamma), columns (lo, hi).
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    w_gb: tuple[float, float]
-    w_bg: tuple[float, float]
-
-    def u_interval(self, axis: int) -> tuple[float, float]:
-        return (float(self.u[axis, 0]), float(self.u[axis, 1]))
-
-    def v_interval(self, axis: int) -> tuple[float, float]:
-        return (float(self.v[axis, 0]), float(self.v[axis, 1]))
+def trig_bounds(box: AngleBox) -> dict[str, tuple[float, float]]:
+    """Intervals of the eight rotation variables over a box, by name, in the
+    order u_alpha, v_alpha, u_beta, v_beta, u_gamma, v_gamma, w_gb, w_bg.
+    The cos/sin ranges are exact (monotonicity splits)."""
+    iv = {}
+    for name, lo, hi in box._axes():
+        iv[f"u_{name}"] = _cos_interval(lo, hi)
+        iv[f"v_{name}"] = _sin_interval(lo, hi)
+    iv["w_gb"] = _imul(iv["u_gamma"], iv["v_beta"])
+    iv["w_bg"] = _imul(iv["v_beta"], iv["v_gamma"])
+    return iv
 
 
-def trig_bounds(box: AngleBox) -> TrigBounds:
-    """Tight cos/sin enclosures per axis (exact range via monotonicity splits)."""
-    lows, highs = box.lows(), box.highs()
-    u = np.empty((3, 2))
-    v = np.empty((3, 2))
-    for axis in range(3):
-        u[axis] = _cos_interval(lows[axis], highs[axis])
-        v[axis] = _sin_interval(lows[axis], highs[axis])
-    w_gb = _imul((u[2, 0], u[2, 1]), (v[1, 0], v[1, 1]))
-    w_bg = _imul((v[1, 0], v[1, 1]), (v[2, 0], v[2, 1]))
-    return TrigBounds(u=u, v=v, w_gb=w_gb, w_bg=w_bg)
+def _term_interval(coef: float, names: tuple[str, ...], iv: dict) -> tuple[float, float]:
+    lo, hi = functools.reduce(_imul, (iv[n] for n in names))
+    return (coef * lo, coef * hi) if coef > 0 else (coef * hi, coef * lo)
 
 
 @dataclass(frozen=True)
@@ -300,19 +298,12 @@ class RotationInterval:
 
 
 def rotation_interval(box: AngleBox) -> RotationInterval:
-    """Interval matrix enclosing rotation_from_angles(a) for every a in the box."""
-    tb = trig_bounds(box)
-    ua, ub, ug = tb.u_interval(0), tb.u_interval(1), tb.u_interval(2)
-    va, vb, vg = tb.v_interval(0), tb.v_interval(1), tb.v_interval(2)
-    entries = [
-        [_imul(ub, ug), _ineg(_imul(ub, vg)), vb],
-        [_iadd(_imul(ua, vg), _imul(va, tb.w_gb)),
-         _iadd(_imul(ua, ug), _ineg(_imul(va, tb.w_bg))),
-         _ineg(_imul(ub, va))],
-        [_iadd(_imul(va, vg), _ineg(_imul(ua, tb.w_gb))),
-         _iadd(_imul(va, ug), _imul(ua, tb.w_bg)),
-         _imul(ua, ub)],
-    ]
-    lo = np.array([[max(-1.0, e[0]) for e in row] for row in entries])
-    hi = np.array([[min(1.0, e[1]) for e in row] for row in entries])
+    """Interval matrix enclosing rotation_from_angles(a) for every a in the box:
+    ROTATION_MONOMIALS evaluated in interval arithmetic over trig_bounds(box),
+    clamped to [-1, 1]."""
+    iv = trig_bounds(box)
+    entries = [functools.reduce(_iadd, (_term_interval(c, names, iv) for c, names in terms))
+               for terms in ROTATION_MONOMIALS]
+    lo = np.array([max(-1.0, e[0]) for e in entries]).reshape(3, 3)
+    hi = np.array([min(1.0, e[1]) for e in entries]).reshape(3, 3)
     return RotationInterval(lo=lo, hi=hi)

@@ -16,7 +16,7 @@ import pytest
 from boresight.cloud import synth_generate
 from boresight.gopt import nsbb_solve
 from boresight.reduce import PairSet, reduce_pairs
-from boresight.relax import compute_pair_set, reach_box
+from boresight.relax import _reach_bounds, compute_pair_set
 from boresight.rotation import (
     AngleBox,
     EulerAngles,
@@ -75,9 +75,9 @@ def test_criterion_2_enclosure_soundness(capsys):
         Rs = rotation_matrices(samples[:, 0], samples[:, 1], samples[:, 2])
         violations += int(np.sum(Rs < ri.lo - 1e-12) + np.sum(Rs > ri.hi + 1e-12))
         l = rng.normal(scale=10.0, size=3)
-        k = reach_box(l, box)
+        k_lo, k_hi = _reach_bounds(ri, l[None])
         pts = Rs @ l
-        violations += int(np.sum(pts < k.lo - 1e-9) + np.sum(pts > k.hi + 1e-9))
+        violations += int(np.sum(pts < k_lo - 1e-9) + np.sum(pts > k_hi + 1e-9))
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 30.0
     announce(capsys, 2, ok, f"{violations} violations, {elapsed:.1f}s")

@@ -1,0 +1,42 @@
+"""The library call sites that the benchmark's span tracer (bench/tracer.py)
+wraps. A target that stops resolving reads null on the traced result line, so
+a refactor that moves one must fail here first."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from boresight.cloud import synth_generate
+from boresight.gopt import nsbb_solve
+from boresight.rotation import AngleBox, EulerAngles
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """bench/tracer.py loaded by path (its dataclasses need it in sys.modules)."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracer):
+    unresolved = [name for module, path, name in tracer.TARGETS
+                  if tracer._resolve(module, path) is None]
+    assert unresolved == []
+
+
+def test_one_node_solve_leaves_no_missing_layer(tracer):
+    hat, bar, _ = synth_generate(10, 20, EulerAngles.from_degrees(1.0, -0.5, 0.25), 0.02, seed=600)
+    t = tracer.Tracer()
+    with t.installed():
+        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=1e-6, max_nodes=1)
+    assert rep.nodes_explored == 1
+    assert t.missing == []
+    assert t.counters["relax.boxes"] == 9  # the root and its 8 children
+    assert t.counters["gopt.child_boxes"] == 8

@@ -215,6 +215,19 @@ class TestNsbbSolve:
         assert rep.pairs_root == 0 and rep.nodes_explored == 0
         assert rep.bound_log == [(0.0, rep.f_upper)]
 
+    def test_spent_time_limit_returns_before_root_pairs(self, tiny_scene, monkeypatch):
+        hat, bar, _ = tiny_scene
+
+        def no_pair_set(*args, **kwargs):
+            raise AssertionError("root pair set built")
+
+        monkeypatch.setattr(gopt, "compute_pair_set", no_pair_set)
+        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=1e-6, time_limit=0.0)
+        assert rep.converged_by == "time_limit"
+        assert rep.f_lower == 0.0 and rep.f_upper > 1e-6
+        assert rep.pairs_root == 0 and rep.nodes_explored == 0
+        assert rep.bound_log == [(0.0, rep.f_upper)]
+
     def test_huge_tolerance_returns_root_bounds(self, tiny_scene):
         hat, bar, _ = tiny_scene
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=1e9)

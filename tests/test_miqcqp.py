@@ -13,8 +13,8 @@ from boresight.cloud import georeference
 from boresight.gopt import Node, node_lower_bound, nsbb_solve
 from boresight.miqcqp import MiqcqpModel, SolverError, build_miqcqp, export_model, parse_model
 from boresight.reduce import PairSet, reduce_pairs
-from boresight.relax import compute_pair_set, reach_box
-from boresight.rotation import AngleBox, EulerAngles
+from boresight.relax import _reach_bounds, compute_pair_set
+from boresight.rotation import AngleBox, EulerAngles, rotation_interval
 from boresight.search import evaluate_ub
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
@@ -123,10 +123,10 @@ class TestBuildMiqcqp:
         bounds = {v.name: (v.lo, v.hi) for v in model.variables}
 
         def reference(cloud, k):
-            r = reach_box(cloud.l[k], box)
+            lo, hi = _reach_bounds(rotation_interval(box), cloud.l[k][None])
             R = cloud.ins_rotation[k]
-            wc = cloud.s[k] + R @ (0.5 * (r.lo + r.hi))
-            wh = np.abs(R) @ (0.5 * (r.hi - r.lo))
+            wc = cloud.s[k] + R @ (0.5 * (lo[0] + hi[0]))
+            wh = np.abs(R) @ (0.5 * (hi[0] - lo[0]))
             return wc - wh, wc + wh
 
         ref = {}

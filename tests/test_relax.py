@@ -16,8 +16,6 @@ from boresight.relax import (
     CONTAIN_SLACK,
     build_polytope,
     compute_pair_set,
-    reach_box,
-    transform_polytope,
 )
 from boresight.rotation import (
     AngleBox,
@@ -46,26 +44,32 @@ def degenerate_box(a: EulerAngles) -> AngleBox:
     return AngleBox(a.alpha, a.alpha, a.beta, a.beta, a.gamma, a.gamma)
 
 
+def reach(l, box: AngleBox) -> tuple[np.ndarray, np.ndarray]:
+    """The reach box of one point: _reach_bounds on a one-row L."""
+    lo, hi = relax._reach_bounds(rotation_interval(box), np.asarray(l, dtype=float)[None])
+    return lo[0], hi[0]
+
+
 class TestReachBox:
     def test_degenerate_box_at_zero(self):
-        k = reach_box([1.0, -2.0, 0.5], degenerate_box(EulerAngles(0, 0, 0)))
-        assert np.allclose(k.lo, [1, -2, 0.5]) and np.allclose(k.hi, [1, -2, 0.5])
+        lo, hi = reach([1.0, -2.0, 0.5], degenerate_box(EulerAngles(0, 0, 0)))
+        assert np.allclose(lo, [1, -2, 0.5]) and np.allclose(hi, [1, -2, 0.5])
 
     def test_sampling_soundness(self):
         box = AngleBox.symmetric_deg(2.0)
         for l in ([1.0, 0.0, 0.0], [10.0, -20.0, 5.0], [0.0, 0.0, -30.0]):
-            k = reach_box(l, box)
+            lo, hi = reach(l, box)
             pts = sample_rotated(l, box, 10_000)
-            assert k.contains(pts, tol=1e-12).all()
+            assert np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12))
 
     def test_inclusion_monotone_when_halved(self):
         box = AngleBox.symmetric_deg(2.0)
         half = AngleBox.symmetric_deg(1.0)
-        k_full = reach_box([3.0, -1.0, 2.0], box)
-        k_half = reach_box([3.0, -1.0, 2.0], half)
-        assert np.all(k_half.lo >= k_full.lo - 1e-15)
-        assert np.all(k_half.hi <= k_full.hi + 1e-15)
-        assert np.all(k_half.widths() <= k_full.widths() + 1e-15)
+        lo_full, hi_full = reach([3.0, -1.0, 2.0], box)
+        lo_half, hi_half = reach([3.0, -1.0, 2.0], half)
+        assert np.all(lo_half >= lo_full - 1e-15)
+        assert np.all(hi_half <= hi_full + 1e-15)
+        assert np.all(hi_half - lo_half <= hi_full - lo_full + 1e-15)
 
 
 class TestBuildPolytope:
@@ -107,26 +111,6 @@ class TestBuildPolytope:
         assert d.max() <= poly.radius + 1e-12
 
 
-class TestTransformPolytope:
-    def test_identity(self):
-        poly = build_polytope([1.0, 2.0, 3.0], AngleBox.symmetric_deg(1.0))
-        out = transform_polytope(poly, np.zeros(3), np.eye(3))
-        assert np.allclose(out, poly.vertices)
-
-    def test_pure_translation(self):
-        poly = build_polytope([1.0, 2.0, 3.0], AngleBox.symmetric_deg(1.0))
-        out = transform_polytope(poly, np.array([5.0, 0.0, 0.0]), np.eye(3))
-        assert np.allclose(out, poly.vertices + [5, 0, 0])
-
-    def test_isometry(self):
-        poly = build_polytope([1.0, 2.0, 3.0], AngleBox.symmetric_deg(1.0))
-        R = rotation_from_angles(EulerAngles(0.5, -0.3, 1.1))
-        out = transform_polytope(poly, np.array([1.0, 2.0, 3.0]), R)
-        din = np.linalg.norm(poly.vertices[:, None] - poly.vertices[None, :], axis=-1)
-        dout = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
-        assert np.abs(din - dout).max() <= 1e-12
-
-
 def scene_pair_samples(hat, bar, i, j, box, n=1000, seed=0):
     """Oracle: exact squared pair distance at n sampled angles in the box."""
     rng = np.random.default_rng(seed)
@@ -148,8 +132,8 @@ def pair_set_for(hat, bar, box, keys):
 
 def polytope_pair_bounds(hat, bar, i, j, box):
     """Oracle: exact distance bounds between the two transformed polytopes."""
-    vh = transform_polytope(build_polytope(hat.l[i], box), hat.s[i], hat.ins_rotation[i])
-    vb = transform_polytope(build_polytope(bar.l[j], box), bar.s[j], bar.ins_rotation[j])
+    vh = hat.s[i] + build_polytope(hat.l[i], box).vertices @ hat.ins_rotation[i].T
+    vb = bar.s[j] + build_polytope(bar.l[j], box).vertices @ bar.ins_rotation[j].T
     return gjk_min_sq_dist(vh, vb), max_vertex_sq_dist(vh, vb)
 
 

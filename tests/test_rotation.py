@@ -153,15 +153,15 @@ class TestTrigBounds:
     def test_symmetric_two_degrees(self):
         tb = trig_bounds(AngleBox.symmetric_deg(2.0))
         two = math.radians(2.0)
-        assert tb.u_interval(0) == pytest.approx((math.cos(two), 1.0))
-        assert tb.v_interval(0) == pytest.approx((-math.sin(two), math.sin(two)))
+        assert tb["u_alpha"] == pytest.approx((math.cos(two), 1.0))
+        assert tb["v_alpha"] == pytest.approx((-math.sin(two), math.sin(two)))
 
     def test_degenerate_box_gives_point_intervals(self):
         theta = 0.3
         tb = trig_bounds(AngleBox(theta, theta, theta, theta, theta, theta))
-        for axis in range(3):
-            assert tb.u_interval(axis) == pytest.approx((math.cos(theta), math.cos(theta)))
-            assert tb.v_interval(axis) == pytest.approx((math.sin(theta), math.sin(theta)))
+        for name in ("alpha", "beta", "gamma"):
+            assert tb[f"u_{name}"] == pytest.approx((math.cos(theta), math.cos(theta)))
+            assert tb[f"v_{name}"] == pytest.approx((math.sin(theta), math.sin(theta)))
 
     def test_sampling_soundness_random_boxes(self):
         rng = np.random.default_rng(21)
@@ -171,9 +171,9 @@ class TestTrigBounds:
             box = AngleBox.from_arrays(lows, highs)
             tb = trig_bounds(box)
             samples = box.sample(rng, 2000)
-            for axis in range(3):
-                u_lo, u_hi = tb.u_interval(axis)
-                v_lo, v_hi = tb.v_interval(axis)
+            for axis, name in enumerate(("alpha", "beta", "gamma")):
+                u_lo, u_hi = tb[f"u_{name}"]
+                v_lo, v_hi = tb[f"v_{name}"]
                 c, s = np.cos(samples[:, axis]), np.sin(samples[:, axis])
                 assert c.min() >= u_lo - 1e-12 and c.max() <= u_hi + 1e-12
                 assert s.min() >= v_lo - 1e-12 and s.max() <= v_hi + 1e-12
@@ -181,7 +181,7 @@ class TestTrigBounds:
     def test_interval_extrema_attained_when_critical_point_inside(self):
         # box straddling pi/2 must report sin upper bound exactly 1
         tb = trig_bounds(AngleBox(1.0, 2.0, 0, 0, 0, 0))
-        assert tb.v_interval(0)[1] == 1.0
+        assert tb["v_alpha"][1] == 1.0
 
     def test_w_products_sound(self):
         rng = np.random.default_rng(2)
@@ -190,11 +190,76 @@ class TestTrigBounds:
         samples = box.sample(rng, 5000)
         w_gb = np.cos(samples[:, 2]) * np.sin(samples[:, 1])
         w_bg = np.sin(samples[:, 1]) * np.sin(samples[:, 2])
-        assert w_gb.min() >= tb.w_gb[0] - 1e-12 and w_gb.max() <= tb.w_gb[1] + 1e-12
-        assert w_bg.min() >= tb.w_bg[0] - 1e-12 and w_bg.max() <= tb.w_bg[1] + 1e-12
+        assert w_gb.min() >= tb["w_gb"][0] - 1e-12 and w_gb.max() <= tb["w_gb"][1] + 1e-12
+        assert w_bg.min() >= tb["w_bg"][0] - 1e-12 and w_bg.max() <= tb["w_bg"][1] + 1e-12
+
+    def test_variables_in_model_order(self):
+        tb = trig_bounds(AngleBox.symmetric_deg(2.0))
+        assert list(tb) == ["u_alpha", "v_alpha", "u_beta", "v_beta",
+                            "u_gamma", "v_gamma", "w_gb", "w_bg"]
+
+
+def imul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(p), max(p))
+
+
+def iadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def ineg(a):
+    return (-a[1], -a[0])
+
+
+def reference_interval(box: AngleBox) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the rotation enclosure with every entry written out by hand
+    from the trig intervals, clamped to [-1, 1]."""
+    tb = trig_bounds(box)
+    ua, ub, ug = tb["u_alpha"], tb["u_beta"], tb["u_gamma"]
+    va, vb, vg = tb["v_alpha"], tb["v_beta"], tb["v_gamma"]
+    entries = [
+        [imul(ub, ug), ineg(imul(ub, vg)), vb],
+        [iadd(imul(ua, vg), imul(va, tb["w_gb"])),
+         iadd(imul(ua, ug), ineg(imul(va, tb["w_bg"]))),
+         ineg(imul(ub, va))],
+        [iadd(imul(va, vg), ineg(imul(ua, tb["w_gb"]))),
+         iadd(imul(va, ug), imul(ua, tb["w_bg"])),
+         imul(ua, ub)],
+    ]
+    lo = np.array([[max(-1.0, e[0]) for e in row] for row in entries])
+    hi = np.array([[min(1.0, e[1]) for e in row] for row in entries])
+    return lo, hi
 
 
 class TestRotationInterval:
+    def test_matches_hand_written_entries_bitwise(self):
+        """The table-driven enclosure equals the hand-written one exactly on
+        wide, narrow and degenerate boxes, and on boxes that contain 0 or
+        +-pi/2 (where the cos/sin ranges reach their extrema)."""
+        rng = np.random.default_rng(18)
+        boxes = []
+        for kind in range(5):
+            for _ in range(250):
+                c = rng.uniform(-1.5, 1.5, size=3)
+                if kind == 0:
+                    h = rng.uniform(0.0, 0.75, size=3)  # widths up to 1.5 rad
+                elif kind == 1:
+                    h = rng.uniform(0.0, 5e-4, size=3)  # widths up to 1e-3 rad
+                elif kind == 2:
+                    h = np.where(rng.random(3) < 0.5, 0.0, rng.uniform(0.0, 0.1, size=3))
+                elif kind == 3:
+                    c, h = rng.uniform(-0.01, 0.01, size=3), rng.uniform(0.01, 0.5, size=3)
+                else:
+                    c = rng.choice([-1.0, 1.0], size=3) * (math.pi / 2 + rng.uniform(-0.05, 0.05, size=3))
+                    h = rng.uniform(0.05, 0.3, size=3)
+                boxes.append(AngleBox.from_arrays(c - h, c + h))
+        boxes.append(AngleBox(0, 0, 0, 0, 0, 0))
+        for box in boxes:
+            ri = rotation_interval(box)
+            lo, hi = reference_interval(box)
+            assert np.array_equal(ri.lo, lo) and np.array_equal(ri.hi, hi)
+
     def test_degenerate_box_is_exact(self):
         a = EulerAngles(0.2, -0.1, 0.05)
         box = AngleBox(a.alpha, a.alpha, a.beta, a.beta, a.gamma, a.gamma)
