@@ -76,13 +76,9 @@ def _report_kv(pairs: list[tuple[str, object]]) -> list[str]:
     return lines
 
 
-def _angles_report(prefix: str, angles: EulerAngles) -> list[tuple[str, object]]:
+def _angles_report(angles: EulerAngles) -> list[tuple[str, object]]:
     deg = angles.to_degrees()
-    return [
-        (f"{prefix}alpha_deg", f"{deg[0]:.6f}"),
-        (f"{prefix}beta_deg", f"{deg[1]:.6f}"),
-        (f"{prefix}gamma_deg", f"{deg[2]:.6f}"),
-    ]
+    return [(f"{name}_deg", f"{v:.6f}") for name, v in zip(("alpha", "beta", "gamma"), deg)]
 
 
 def _human_table(rows: list[tuple[str, str]]) -> list[str]:
@@ -93,6 +89,11 @@ def _human_table(rows: list[tuple[str, str]]) -> list[str]:
 def _build_parser() -> _Parser:
     p = _Parser(prog="boresight", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    # the inputs of the four solver commands
+    clouds = argparse.ArgumentParser(add_help=False)
+    clouds.add_argument("--hat", required=True)
+    clouds.add_argument("--bar", required=True)
+    clouds.add_argument("--bounds", type=float, default=2.0, help="angle box half-width (deg)")
 
     sp = sub.add_parser("synth", help="generate a synthetic two-flight-line scene")
     sp.add_argument("--n", required=True, help="hat,bar point counts, e.g. 1000,2000")
@@ -109,25 +110,20 @@ def _build_parser() -> _Parser:
     cp.add_argument("--decimate", type=int, default=1, help="keep every k-th point")
     cp.add_argument("--out", required=True)
 
-    ap = sub.add_parser("ags", help="adaptive grid search heuristic")
-    ap.add_argument("--hat", required=True)
-    ap.add_argument("--bar", required=True)
+    ap = sub.add_parser("ags", parents=[clouds], help="adaptive grid search heuristic")
     ap.add_argument("--nd", type=int, default=10)
     ap.add_argument("--tmax", type=float, default=100.0)
-    ap.add_argument("--bounds", type=float, default=2.0, help="angle box half-width (deg)")
     ap.add_argument("--shrink", type=float, default=0.10)
     ap.add_argument("--rounds", type=int, default=None, help="round cap (deterministic)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None)
 
-    npb = sub.add_parser("nsbb", help="certified global solve via branch-and-bound")
-    npb.add_argument("--hat", required=True)
-    npb.add_argument("--bar", required=True)
+    npb = sub.add_parser("nsbb", parents=[clouds],
+                         help="certified global solve via branch-and-bound")
     npb.add_argument("--eps-rel", type=float, default=0.01)
     npb.add_argument("--eps-abs", type=float, default=0.1)
     npb.add_argument("--node-time", type=float, default=30.0)
-    npb.add_argument("--bounds", type=float, default=2.0)
     npb.add_argument("--threads", type=int, default=1, help="grid-search warm-start threads")
     npb.add_argument("--solver-cmd", default=None,
                      help="external lower-bound solver, run as CMD model_path per node")
@@ -145,18 +141,14 @@ def _build_parser() -> _Parser:
     app.add_argument("--angles", required=True)
     app.add_argument("--out", required=True)
 
-    ep = sub.add_parser("export-model", help="write the MIQCQP text model for a box")
-    ep.add_argument("--hat", required=True)
-    ep.add_argument("--bar", required=True)
-    ep.add_argument("--bounds", type=float, default=2.0)
+    ep = sub.add_parser("export-model", parents=[clouds],
+                        help="write the MIQCQP text model for a box")
     ep.add_argument("--f-upper", type=float, default=None,
                     help="valid upper bound used to reduce pairs before export")
     ep.add_argument("--out", required=True)
 
-    rp = sub.add_parser("reduce-stats", help="pair-elimination statistics over a box")
-    rp.add_argument("--hat", required=True)
-    rp.add_argument("--bar", required=True)
-    rp.add_argument("--bounds", type=float, default=2.0)
+    rp = sub.add_parser("reduce-stats", parents=[clouds],
+                        help="pair-elimination statistics over a box")
     rp.add_argument("--f-upper", type=float, default=None)
     rp.add_argument("--out", default=None)
     return p
@@ -220,7 +212,7 @@ def _cmd_ags(args) -> int:
         ("bounds_deg", args.bounds), ("seed", args.seed),
         ("rounds", result.rounds), ("evaluations", result.n_evals),
         ("objective", repr(result.best.objective)),
-    ] + _angles_report("", result.best.angles) + [("wall_time_s", wall)]
+    ] + _angles_report(result.best.angles) + [("wall_time_s", wall)]
     lines = _report_kv(kv) + _human_table([
         ("objective", f"{result.best.objective:.6g}"),
         ("angles (deg)", "  ".join(f"{v:.6f}" for v in result.best.angles.to_degrees())),
@@ -277,9 +269,10 @@ def _cmd_nsbb(args) -> int:
         ("nodes_explored", report.nodes_explored),
         ("nodes_pruned_bound", report.nodes_pruned_bound),
         ("nodes_pruned_infeasible", report.nodes_pruned_infeasible),
+        ("nodes_finalized", report.nodes_finalized),
         ("pairs_root", report.pairs_root),
         ("pairs_eliminated", report.pairs_eliminated),
-    ] + _angles_report("", report.incumbent.angles) + [
+    ] + _angles_report(report.incumbent.angles) + [
         ("ags_time_s", t_ags),
         ("nsbb_time_s", report.wall_time),
         ("wall_time_s", t_ags + report.wall_time),
@@ -309,13 +302,18 @@ def _cmd_apply(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export_model(args) -> int:
+def _root_pairs(args):
+    """Clouds, box, --f-upper (default inf) and the box's pairs before and after reduction."""
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
     box = _box_arg(args.bounds)
     f_upper = np.inf if args.f_upper is None else args.f_upper
     pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
-    red = reduce_pairs(pairs, f_upper)
+    return hat, bar, box, f_upper, pairs, reduce_pairs(pairs, f_upper)
+
+
+def _cmd_export_model(args) -> int:
+    hat, bar, box, _, _, red = _root_pairs(args)
     if red.infeasible:
         raise SolverError("pair reduction left some point without candidates")
     model = build_miqcqp(hat, bar, red.pairs, box)
@@ -331,12 +329,7 @@ def _cmd_export_model(args) -> int:
 
 
 def _cmd_reduce_stats(args) -> int:
-    hat = load_fused(args.hat, label="hat")
-    bar = load_fused(args.bar, label="bar")
-    box = _box_arg(args.bounds)
-    f_upper = np.inf if args.f_upper is None else args.f_upper
-    pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
-    red = reduce_pairs(pairs, f_upper)
+    _, _, _, f_upper, pairs, red = _root_pairs(args)
     lines = _report_kv([
         ("command", "reduce-stats"),
         ("bounds_deg", args.bounds),

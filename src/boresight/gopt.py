@@ -29,35 +29,21 @@ _ACTIVE_SETS = np.array(list(itertools.product(range(3), repeat=3)))
 class Node:
     box: AngleBox
     pairs: PairSet
-    lower: float
-    depth: int
-    id: int
+    lower: float  # the box's lower bound; inf when reduction left it infeasible
 
 
-def branch(node: Node) -> list[Node]:
-    """Bisect the node box on every axis wider than MIN_BOX_WIDTH (up to 8 children).
-
-    Children partition the parent box and inherit the parent's pair set;
-    their bounds are re-tightened afterwards by the solver.
-    """
-    lows, highs = node.box.lows(), node.box.highs()
+def branch(box: AngleBox) -> list[AngleBox]:
+    """Bisect the box on every axis wider than MIN_BOX_WIDTH: up to 8 children
+    that partition it."""
+    lows, highs = box.lows(), box.highs()
     split = highs - lows > MIN_BOX_WIDTH
     if not split.any():
         raise ValueError("no axis wider than the minimum width; node must be finalized")
     mids = 0.5 * (lows + highs)
-    per_axis = []
-    for a in range(3):
-        if split[a]:
-            per_axis.append([(lows[a], mids[a]), (mids[a], highs[a])])
-        else:
-            per_axis.append([(lows[a], highs[a])])
-    children = []
-    for combo in itertools.product(*per_axis):
-        box = AngleBox(combo[0][0], combo[0][1], combo[1][0], combo[1][1],
-                       combo[2][0], combo[2][1])
-        children.append(Node(box=box, pairs=node.pairs, lower=node.lower,
-                             depth=node.depth + 1, id=-1))
-    return children
+    per_axis = [[(lo, mid), (mid, hi)] if s else [(lo, hi)]
+                for lo, mid, hi, s in zip(lows, mids, highs, split)]
+    return [AngleBox(a[0], a[1], b[0], b[1], g[0], g[1])
+            for a, b, g in itertools.product(*per_axis)]
 
 
 def builtin_lower_bound(pairs: PairSet) -> float:
@@ -138,18 +124,18 @@ def node_lower_bound(
     bar: Cloud,
     solver_cmd: str | None = None,
     t_max: float = 30.0,
-    parent_lower: float = 0.0,
     node_upper: float = np.inf,
 ) -> float:
-    """Lower bound for the node: the largest of the parent's (monotone by
-    construction), the per-point and the coupled bound.
+    """Lower bound for the node's box: the largest of node.lower (the parent's
+    bound, so bounds are monotone by construction), the per-point and the
+    coupled bound.
 
     With solver_cmd, the external solver's bound on the node's MIQCQP model
     is used where it is larger. node_upper is the objective at some angle in
     the node box (the solver passes the box midpoint's), so no valid lower
     bound exceeds it; an external bound above it is rejected.
     """
-    value = max(parent_lower, builtin_lower_bound(node.pairs),
+    value = max(node.lower, builtin_lower_bound(node.pairs),
                 coupled_lower_bound(node.pairs, node.box, hat, bar))
     if solver_cmd is not None:
         external = external_lower_bound(hat, bar, node.pairs, node.box, solver_cmd,
@@ -196,27 +182,55 @@ def nsbb_solve(
 ) -> SolveReport:
     """Best-first spatial branch-and-bound on the three boresight angles.
 
-    Per popped node: bisect into up to 8 children; for each child evaluate a
-    feasible point at the box midpoint (incumbent update), re-tighten and
-    reduce the inherited pair set, compute a lower bound (with solver_cmd,
-    also the external solver's, see node_lower_bound); then prune or enqueue
-    the children. Terminates when the relative or absolute bound gap closes,
-    the queue empties, or a node/time budget is hit.
+    Every box, the root included, is bounded the same way: evaluate its
+    midpoint (incumbent update), re-tighten and reduce the parent's pair set,
+    compute a lower bound (with solver_cmd, also the external solver's, see
+    node_lower_bound), then prune or enqueue it. A popped node is bisected
+    into up to 8 children, all evaluated before any is pruned. Terminates when
+    the relative or absolute bound gap closes, the queue empties, or a
+    node/time budget is hit.
     """
     if len(hat) == 0 or len(bar) == 0:
         raise SolverError("clouds must be non-empty")
     if eps_rel <= 0 or eps_abs <= 0:
         raise SolverError("tolerances must be positive")
     t0 = time.monotonic()
-
-    mid_eval = evaluate_ub(hat, bar, box.midpoint())
-    best = f_upper_init
-    if best is None or mid_eval.objective < best.objective:
-        best = mid_eval
-    rep = SolveReport(incumbent=best, f_upper=best.objective)
-    queue: list[tuple[float, float, int, Node]] = []  # keyed on (lower, -volume, id)
+    rep = SolveReport(incumbent=f_upper_init,
+                      f_upper=np.inf if f_upper_init is None else f_upper_init.objective)
+    queue: list[tuple[float, float, int, Node]] = []  # keyed on (lower, -volume, push count)
+    pushes = itertools.count()
     closed_lower = np.inf  # min lower bound among finalized (unbranchable) nodes
-    next_id = itertools.count()
+
+    def evaluate_midpoint(box: AngleBox) -> Evaluation:
+        """The objective at the box midpoint; it replaces the incumbent if lower."""
+        ev = evaluate_ub(hat, bar, box.midpoint())
+        if ev.objective < rep.f_upper:
+            rep.incumbent, rep.f_upper = ev, ev.objective
+        return ev
+
+    def bound(box: AngleBox, ev: Evaluation, pairs: PairSet | None, lower: float) -> Node:
+        """Re-tighten and reduce the parent's pairs (None: the dense root set)
+        over the box and bound it, from at least the parent's bound `lower`."""
+        tight = compute_pair_set(hat, bar, box, pairs, f_upper=rep.f_upper)
+        red = reduce_pairs(tight, rep.f_upper)
+        if pairs is None:
+            rep.pairs_root = tight.size
+        rep.pairs_eliminated += red.removed_total
+        node = Node(box=box, pairs=red.pairs, lower=lower)
+        node.lower = np.inf if red.infeasible else node_lower_bound(
+            node, hat, bar, solver_cmd, node_time, node_upper=ev.objective)
+        return node
+
+    def push_or_prune(node: Node) -> None:
+        """Enqueue the node unless its bound exceeds the incumbent (inf: infeasible)."""
+        if node.lower > rep.f_upper:
+            rep.prune_log.append((node.box, node.lower))
+            if node.lower == np.inf:
+                rep.nodes_pruned_infeasible += 1
+            else:
+                rep.nodes_pruned_bound += 1
+        else:
+            heapq.heappush(queue, (node.lower, -node.box.volume(), next(pushes), node))
 
     def raise_f_lower() -> str | None:
         """Lift rep.f_lower to the least bound still in play (the heap top,
@@ -232,25 +246,16 @@ def nsbb_solve(
     def out_of_time() -> bool:
         return time_limit is not None and time.monotonic() - t0 >= time_limit
 
+    root_eval = evaluate_midpoint(box)
     reason = None
     if rep.f_upper <= eps_abs:  # the trivial bound 0 closes the gap: no pair set needed
         reason = "gap_abs"
     elif out_of_time():  # the root pair set is not interruptible: do not start it
         reason = "time_limit"
     else:
-        root_pairs = compute_pair_set(hat, bar, box, None, f_upper=rep.f_upper)
-        red = reduce_pairs(root_pairs, rep.f_upper)
-        rep.pairs_root = root_pairs.size
-        rep.pairs_eliminated += red.removed_total
-        # an infeasible root cannot happen with a sound upper bound: it is not
-        # enqueued, so the search closes on the incumbent as exhausted
-        if not red.infeasible:
-            root = Node(box=box, pairs=red.pairs, lower=0.0, depth=0, id=next(next_id))
-            root.lower = min(node_lower_bound(root, hat, bar, solver_cmd, node_time, 0.0,
-                                              node_upper=mid_eval.objective), rep.f_upper)
-            heapq.heappush(queue, (root.lower, -root.box.volume(), root.id, root))
-            rep.bound_log.append((root.lower, rep.f_upper))
-            reason = raise_f_lower()
+        push_or_prune(bound(box, root_eval, None, 0.0))
+        reason = raise_f_lower()
+        rep.bound_log.append((rep.f_lower, rep.f_upper))
 
     while reason is None and queue:
         if max_nodes is not None and rep.nodes_explored >= max_nodes:
@@ -259,10 +264,9 @@ def nsbb_solve(
         if out_of_time():
             reason = "time_limit"
             break
-        _, _, _, node = heapq.heappop(queue)
-        if node.lower > rep.f_upper:
-            rep.nodes_pruned_bound += 1
-            rep.prune_log.append((node.box, node.lower))
+        node = heapq.heappop(queue)[-1]
+        if node.lower > rep.f_upper:  # the incumbent improved since it was queued
+            push_or_prune(node)
             reason = raise_f_lower()
             continue
         if not (node.box.widths() > MIN_BOX_WIDTH).any():
@@ -270,39 +274,17 @@ def nsbb_solve(
             closed_lower = min(closed_lower, node.lower)
             reason = raise_f_lower()
             continue
-        children = branch(node)
         rep.nodes_explored += 1
-        # every child updates the incumbent before any of them is pruned;
-        # an infeasible child gets the lower bound inf
+        # every child updates the incumbent before any of them is pruned
+        children = [bound(b, evaluate_midpoint(b), node.pairs, node.lower)
+                    for b in branch(node.box)]
         for child in children:
-            ev = evaluate_ub(hat, bar, child.box.midpoint())
-            if ev.objective < rep.f_upper:
-                rep.incumbent, rep.f_upper = ev, ev.objective
-            tight = compute_pair_set(hat, bar, child.box, node.pairs, f_upper=rep.f_upper)
-            red = reduce_pairs(tight, rep.f_upper)
-            rep.pairs_eliminated += red.removed_total
-            if red.infeasible:
-                child.lower = np.inf
-                continue
-            child.pairs = red.pairs
-            child.lower = node_lower_bound(child, hat, bar, solver_cmd, node_time,
-                                           parent_lower=node.lower, node_upper=ev.objective)
-        for child in children:
-            if child.lower > rep.f_upper:
-                rep.prune_log.append((child.box, child.lower))
-                if child.lower == np.inf:
-                    rep.nodes_pruned_infeasible += 1
-                else:
-                    rep.nodes_pruned_bound += 1
-                continue
-            child.id = next(next_id)
-            heapq.heappush(queue, (child.lower, -child.box.volume(), child.id, child))
+            push_or_prune(child)
         reason = raise_f_lower()
         rep.bound_log.append((rep.f_lower, rep.f_upper))
 
-    if reason is None:  # queue exhausted: every region is certified
+    if reason is None:  # queue exhausted: what is left open are the finalized boxes
         reason = "exhausted"
-        rep.f_lower = rep.f_upper
     rep.bound_log.append((rep.f_lower, rep.f_upper))
     rep.converged_by = reason
     rep.gap_abs = rep.f_upper - rep.f_lower

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ def _cell_centers(box: AngleBox, n_d: int, jitter: np.ndarray | None,
 def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     """Adaptive grid search: evaluate the n_d^3 cell centers of the current
     box, recenter a shrunken box on the incumbent, repeat until the time (or
-    round) budget runs out. The search never leaves the original box."""
+    round) budget runs out. The search never leaves the original box. t_max is
+    checked after every batch of cfg.threads evaluations, mid-round too."""
     box0 = cfg.box
     box = box0
     rng = np.random.default_rng(cfg.seed)
@@ -90,45 +92,44 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     jitter: np.ndarray | None = None
     t0 = time.monotonic()
 
-    while True:
-        rounds += 1
-        centers = _cell_centers(box, cfg.n_d, jitter, box0)
-        jitter = None
+    def eval_at(c):
+        return evaluate_ub(hat, bar, EulerAngles(c[0], c[1], c[2]))
 
-        def eval_at(c):
-            return evaluate_ub(hat, bar, EulerAngles(c[0], c[1], c[2]))
+    def out_of_time() -> bool:
+        return time.monotonic() - t0 >= cfg.t_max
 
-        if cfg.threads > 1 and len(centers) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                evals = list(pool.map(eval_at, centers))
-        else:
-            evals = [eval_at(c) for c in centers]
-        n_evals += len(evals)
+    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        while True:
+            rounds += 1
+            centers = _cell_centers(box, cfg.n_d, jitter, box0)
+            jitter = None
+            evals: list[Evaluation] = []
+            for k in range(0, len(centers), cfg.threads):
+                evals.extend(run(eval_at, centers[k:k + cfg.threads]))
+                if out_of_time():
+                    break
+            n_evals += len(evals)
 
-        # lowest linear cell index wins ties
-        round_best = min(evals, key=lambda e: e.objective)
-        if best is None or round_best.objective < best.objective:
-            best = round_best
+            # the incumbent, then the lowest linear cell index, wins ties
+            best = min(evals if best is None else [best, *evals], key=lambda e: e.objective)
 
-        done_rounds = cfg.max_rounds is not None and rounds >= cfg.max_rounds
-        done_time = time.monotonic() - t0 >= cfg.t_max
-        if done_rounds or done_time:
-            break
+            if (cfg.max_rounds is not None and rounds >= cfg.max_rounds) or out_of_time():
+                break
 
-        # shrink around the incumbent (clipped into the original box); on a
-        # stall we shrink anyway, and once the box collapses we restart from
-        # the full box with a seeded jitter, keeping the incumbent
-        widths = box.widths()
-        if np.all(widths < _MIN_BOX_WIDTH):
-            box = box0
-            cell0 = box0.widths() / cfg.n_d
-            jitter = rng.uniform(-0.5, 0.5, size=3) * cell0
-            continue
-        center = best.angles.as_array()
-        half = cfg.shrink * widths
-        lows = np.maximum(box0.lows(), center - half)
-        highs = np.minimum(box0.highs(), center + half)
-        box = AngleBox.from_arrays(lows, highs)
+            # shrink around the incumbent (clipped into the original box); on a
+            # stall we shrink anyway, and once the box collapses we restart from
+            # the full box with a seeded jitter, keeping the incumbent
+            widths = box.widths()
+            if np.all(widths < _MIN_BOX_WIDTH):
+                box = box0
+                jitter = rng.uniform(-0.5, 0.5, size=3) * (box0.widths() / cfg.n_d)
+                continue
+            center = best.angles.as_array()
+            half = cfg.shrink * widths
+            lows = np.maximum(box0.lows(), center - half)
+            highs = np.minimum(box0.highs(), center + half)
+            box = AngleBox.from_arrays(lows, highs)
 
     assert best is not None
     return AgsResult(best=best, rounds=rounds, n_evals=n_evals)

@@ -29,13 +29,6 @@ class NnIndex:
         self._points = pts
         self._tree = cKDTree(pts)
 
-    def __len__(self) -> int:
-        return self._points.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
     def query_many(self, Q) -> tuple[np.ndarray, np.ndarray]:
         """Batch nearest neighbors: (indices, squared distances). No tie-break guarantee."""
         Q = np.atleast_2d(np.asarray(Q, dtype=float))

@@ -34,9 +34,13 @@ def test_every_target_resolves(tracer):
 def test_one_node_solve_leaves_no_missing_layer(tracer):
     hat, bar, _ = synth_generate(10, 20, EulerAngles.from_degrees(1.0, -0.5, 0.25), 0.02, seed=600)
     t = tracer.Tracer()
-    with t.installed():
+    with t.installed(), t.span("solve"):
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=1e-6, max_nodes=1)
     assert rep.nodes_explored == 1
     assert t.missing == []
     assert t.counters["relax.boxes"] == 9  # the root and its 8 children
     assert t.counters["gopt.child_boxes"] == 8
+    # every box is evaluated at its midpoint; every feasible one is bounded
+    layers = t.summarize().layers
+    assert layers["gopt.evaluate_ub"].calls == 9
+    assert layers["gopt.node_lower_bound"].calls == 9 - rep.nodes_pruned_infeasible

@@ -164,6 +164,18 @@ class TestNsbb:
         assert int(kv["nodes_explored"]) == 0
         assert kv["converged_by"] == "gap_abs"
 
+    def test_reports_finalized_boxes(self, synth_files, capsys):
+        """A root box narrower than 1e-7 rad on every axis cannot be split: it
+        is finalized with its bound, and the gap stays open."""
+        hat, bar, _ = synth_files
+        code, out, _ = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--bounds", "2e-6",
+                           "--no-ags-init", "--eps-rel", "1e-12", "--eps-abs", "1e-15")
+        assert code == EXIT_OK
+        kv = parse_report(out)
+        assert kv["nodes_finalized"] == "1" and kv["nodes_explored"] == "0"
+        assert kv["converged_by"] == "exhausted"
+        assert float(kv["f_lower"]) < float(kv["f_upper"])
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, _ = run(capsys, "nsbb", "--hat", "/nope.txt", "--bar", "/nope.txt")
         assert code == EXIT_DATA

@@ -29,39 +29,33 @@ def make_node(hat, bar, box, f_upper=np.inf):
     pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
     red = reduce_pairs(pairs, f_upper)
     assert not red.infeasible
-    return Node(box=box, pairs=red.pairs, lower=0.0, depth=0, id=0)
+    return Node(box=box, pairs=red.pairs, lower=0.0)
 
 
 class TestBranch:
     def test_full_box_gives_eight_children(self):
-        node = Node(box=AngleBox.symmetric_deg(2.0), pairs=PairSet.dense(1, 1),
-                    lower=0.0, depth=0, id=0)
-        children = branch(node)
+        children = branch(AngleBox.symmetric_deg(2.0))
         assert len(children) == 8
-        assert all(np.allclose(c.box.widths(), math.radians(2.0)) for c in children)
-        assert all(c.depth == 1 for c in children)
+        assert all(np.allclose(c.widths(), math.radians(2.0)) for c in children)
 
     def test_children_partition_parent(self):
         box = AngleBox(-0.1, 0.3, 0.0, 0.2, -0.5, -0.1)
-        node = Node(box=box, pairs=PairSet.dense(1, 1), lower=0.0, depth=0, id=0)
-        children = branch(node)
-        assert sum(c.box.volume() for c in children) == pytest.approx(box.volume())
+        children = branch(box)
+        assert sum(c.volume() for c in children) == pytest.approx(box.volume())
         rng = np.random.default_rng(0)
         for angles in box.sample(rng, 200):
             e = EulerAngles(*angles)
-            assert sum(c.box.contains(e) for c in children) >= 1
+            assert sum(c.contains(e) for c in children) >= 1
 
     def test_degenerate_axis_gives_four_children(self):
         box = AngleBox(-0.1, 0.1, 0.05, 0.05, -0.1, 0.1)
-        node = Node(box=box, pairs=PairSet.dense(1, 1), lower=0.0, depth=0, id=0)
-        assert len(branch(node)) == 4
+        assert len(branch(box)) == 4
 
     def test_all_axes_narrow_raises(self):
         w = 1e-9
         box = AngleBox(0, w, 0, w, 0, w)
-        node = Node(box=box, pairs=PairSet.dense(1, 1), lower=0.0, depth=0, id=0)
         with pytest.raises(ValueError):
-            branch(node)
+            branch(box)
 
 
 class TestLowerBound:
@@ -100,8 +94,8 @@ class TestLowerBound:
     def test_monotone_in_parent(self, tiny_scene):
         hat, bar, _ = tiny_scene
         ps = PairSet(n_hat=1, i=[0], j=[0], c_lo=[0.5], c_hi=[1.0])
-        node = Node(box=AngleBox.symmetric_deg(1.0), pairs=ps, lower=0.0, depth=1, id=0)
-        assert node_lower_bound(node, hat, bar, parent_lower=0.9) == pytest.approx(0.9)
+        node = Node(box=AngleBox.symmetric_deg(1.0), pairs=ps, lower=0.9)
+        assert node_lower_bound(node, hat, bar) == pytest.approx(0.9)
 
 
 def box_around(center: np.ndarray, half_deg: float) -> AngleBox:
@@ -286,6 +280,19 @@ class TestNsbbSolve:
         assert a.f_upper == b.f_upper and a.f_lower == b.f_lower
         assert a.nodes_explored == b.nodes_explored
         assert a.bound_log == b.bound_log
+
+    def test_unsplittable_box_keeps_its_bound(self):
+        """A box narrower than MIN_BOX_WIDTH on every axis is finalized with its
+        bound: the exhausted queue leaves the gap open instead of closing it."""
+        hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=600)
+        centre = PLANTED.as_array() + 1e-4
+        box = AngleBox.from_arrays(centre - 4e-8, centre + 4e-8)
+        rep = nsbb_solve(hat, bar, box, eps_rel=1e-12, eps_abs=1e-15)
+        assert rep.nodes_finalized == 1 and rep.converged_by == "exhausted"
+        assert rep.gap_rel > 0.0
+        assert rep.f_lower <= grid_min(hat, bar, box, n=9)
+        lowers = [lo for lo, _ in rep.bound_log]
+        assert all(a <= b for a, b in zip(lowers, lowers[1:]))
 
     def test_rejects_bad_tolerances(self, tiny_scene):
         hat, bar, _ = tiny_scene

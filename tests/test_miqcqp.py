@@ -24,7 +24,7 @@ def make_node(hat, bar, box, f_upper=np.inf):
     pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
     red = reduce_pairs(pairs, f_upper)
     assert not red.infeasible
-    return Node(box=box, pairs=red.pairs, lower=0.0, depth=0, id=0)
+    return Node(box=box, pairs=red.pairs, lower=0.0)
 
 
 def model_point(hat, bar, pairs, angles, assignment):

@@ -1,8 +1,11 @@
 """Objective evaluation and the adaptive grid search."""
 
+import time
+
 import numpy as np
 import pytest
 
+from boresight import search
 from boresight.cloud import synth_generate
 from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import AgsConfig, ags, ags_run, evaluate_ub
@@ -121,6 +124,27 @@ class TestAgs:
         ev = ags(hat, bar, AgsConfig(n_d=3, t_max=10.0, box=AngleBox.symmetric_deg(2.0), max_rounds=2))
         # feasibility: re-evaluating at the returned angles reproduces the value
         assert evaluate_ub(hat, bar, ev.angles).objective == pytest.approx(ev.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_time_budget_checked_after_every_batch(self, small_scene, monkeypatch, threads):
+        """A round of 4^3 slow evaluations would take 6.4 s serially; the run
+        stops within one batch of `threads` evaluations after t_max."""
+        hat, bar, _ = small_scene
+        real, pause = search.evaluate_ub, 0.1
+
+        def slow(*args):
+            time.sleep(pause)
+            return real(*args)
+
+        monkeypatch.setattr(search, "evaluate_ub", slow)
+        t_max = 0.3
+        t0 = time.monotonic()
+        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=t_max, box=AngleBox.symmetric_deg(2.0),
+                                          threads=threads))
+        elapsed = time.monotonic() - t0
+        assert elapsed < t_max + pause + 0.15
+        assert res.rounds == 1 and 0 < res.n_evals < 64
+        assert res.n_evals % threads == 0
 
     def test_restart_after_collapse_keeps_searching(self, small_scene):
         hat, bar, _ = small_scene
