@@ -34,7 +34,7 @@ def run_dataset(base: Path, name: str) -> None:
           f"{evaluate_ub(hat, bar, EulerAngles(0, 0, 0)).objective:.4f}")
 
     t0 = time.monotonic()
-    best = ags(hat, bar, AgsConfig(n_d=30, t_max=100.0, box=box, threads=8))
+    best = ags(hat, bar, AgsConfig(n_d=30, t_max=100.0, box=box))
     print(f"aGS objective: {best.objective:.4f} in {time.monotonic() - t0:.1f}s")
 
     t0 = time.monotonic()

@@ -5,7 +5,7 @@ spatial branch-and-bound solver, and report recovery errors.
 
 Example:
     python3 scripts/run_synth_experiment.py --n 200,500 --angles 1,-0.5,0.25 \
-        --eps-rel 0.01 --threads 8
+        --eps-rel 0.01
 """
 
 import argparse
@@ -30,7 +30,6 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=5, help="grid-search rounds")
     p.add_argument("--eps-rel", type=float, default=0.01)
     p.add_argument("--eps-abs", type=float, default=0.1)
-    p.add_argument("--threads", type=int, default=8, help="grid-search threads")
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
 
@@ -44,8 +43,7 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     best = ags(hat, bar, AgsConfig(n_d=args.nd, t_max=120.0, box=box,
-                                   max_rounds=args.rounds, threads=args.threads,
-                                   seed=args.seed))
+                                   max_rounds=args.rounds, seed=args.seed))
     t_ags = time.monotonic() - t0
     err = np.degrees(np.abs(best.angles.as_array() - truth.as_array()))
     print(f"\naGS: objective={best.objective:.6g} in {t_ags:.1f}s")

@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     ap.add_argument("--shrink", type=float, default=0.10)
     ap.add_argument("--rounds", type=int, default=None, help="round cap (deterministic)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None)
 
     npb = sub.add_parser("nsbb", parents=[clouds],
@@ -124,7 +123,6 @@ def _build_parser() -> _Parser:
     npb.add_argument("--eps-rel", type=float, default=0.01)
     npb.add_argument("--eps-abs", type=float, default=0.1)
     npb.add_argument("--node-time", type=float, default=30.0)
-    npb.add_argument("--threads", type=int, default=1, help="grid-search warm-start threads")
     npb.add_argument("--solver-cmd", default=None,
                      help="external lower-bound solver, run as CMD model_path per node")
     npb.add_argument("--max-nodes", type=int, default=None)
@@ -200,8 +198,7 @@ def _cmd_ags(args) -> int:
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
     cfg = AgsConfig(n_d=args.nd, t_max=args.tmax, box=_box_arg(args.bounds),
-                    shrink=args.shrink, seed=args.seed,
-                    max_rounds=args.rounds, threads=args.threads)
+                    shrink=args.shrink, seed=args.seed, max_rounds=args.rounds)
     t0 = time.monotonic()
     result = ags_run(hat, bar, cfg)
     wall = time.monotonic() - t0
@@ -235,8 +232,7 @@ def _cmd_nsbb(args) -> int:
     t_ags = 0.0
     if not args.no_ags_init:
         cfg = AgsConfig(n_d=args.ags_nd, t_max=args.time_limit or 1e9,
-                        box=box, seed=args.seed, max_rounds=args.ags_rounds,
-                        threads=args.threads)
+                        box=box, seed=args.seed, max_rounds=args.ags_rounds)
         t0 = time.monotonic()
         init = ags_run(hat, bar, cfg).best
         t_ags = time.monotonic() - t0
@@ -254,7 +250,6 @@ def _cmd_nsbb(args) -> int:
         ("hat", args.hat), ("bar", args.bar),
         ("eps_rel", args.eps_rel), ("eps_abs", args.eps_abs),
         ("bounds_deg", args.bounds), ("seed", args.seed),
-        ("threads", args.threads),
         ("lb_mode", "builtin" if args.solver_cmd is None else "external"),
     ]
     if ags_objective is not None:

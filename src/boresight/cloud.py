@@ -9,6 +9,7 @@ mapping frame (meters).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,14 @@ class Cloud:
     def s(self) -> np.ndarray:
         return self._s
 
+    @cached_property
+    def placement(self) -> np.ndarray:
+        """Read-only (9, 3n) matrix K[(a, b), (i, c)] = R_i[c, a] l_i[b], so that
+        p_i[c] = s_i[c] + sum over (a, b) of R_b[a, b] K[(a, b), (i, c)]."""
+        K = np.einsum("ica,ib->abic", self._R, self._l).reshape(9, -1)
+        K.setflags(write=False)
+        return K
+
     def subset(self, idx: np.ndarray, label: str | None = None) -> "Cloud":
         return Cloud(self._l[idx], self._R[idx], self._s[idx],
                      label=self.label if label is None else label)
@@ -97,11 +106,15 @@ class CropBox:
         return np.all((p >= self.min) & (p <= self.max), axis=1)
 
 
-def georeference(cloud: Cloud, boresight: EulerAngles) -> np.ndarray:
-    """Mapping-frame positions p_i = s_i + R_i (R_boresight l_i), shape (n, 3)."""
-    Rb = rotation_from_angles(boresight)
-    rotated = cloud.l @ Rb.T
-    return cloud.s + np.einsum("nij,nj->ni", cloud.ins_rotation, rotated)
+def georeference(cloud: Cloud, boresight: EulerAngles | np.ndarray) -> np.ndarray:
+    """Mapping-frame positions p_i = s_i + R_i (R_boresight l_i): (n, 3) for one
+    EulerAngles, (m, n, 3) for an (m, 3) array of angles. Each row is the same
+    bit for bit whatever m is (einsum, unlike a GEMM, sums in one fixed order)."""
+    one = isinstance(boresight, EulerAngles)
+    A = np.reshape(boresight.as_array() if one else boresight, (-1, 3))
+    Rb = rotation_matrices(A[:, 0], A[:, 1], A[:, 2]).reshape(-1, 9)
+    p = cloud.s + np.einsum("mk,kn->mn", Rb, cloud.placement).reshape(len(A), -1, 3)
+    return p[0] if one else p
 
 
 def crop(cloud: Cloud, box: CropBox, boresight_guess: EulerAngles = _ZERO_ANGLES) -> Cloud:

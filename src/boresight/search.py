@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +13,8 @@ from .rotation import AngleBox, EulerAngles
 from .spatial import NnIndex
 
 _MIN_BOX_WIDTH = 1e-6  # radians; below this the grid restarts with jitter
+# Georeferenced points (24 bytes each, both clouds) that one aGS batch holds
+BATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ class AgsConfig:
     shrink: float = 0.10
     seed: int = 0
     max_rounds: int | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n_d < 1:
@@ -43,8 +42,6 @@ class AgsConfig:
             raise ValueError("shrink must be in (0, 1)")
         if self.t_max <= 0:
             raise ValueError("t_max must be > 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -54,17 +51,24 @@ class AgsResult:
     n_evals: int
 
 
-def evaluate_ub(hat: Cloud, bar: Cloud, angles: EulerAngles) -> Evaluation:
-    """Feasible objective: sum over hat points of the exact nearest squared
-    distance to the georeferenced bar cloud. Any such value is a valid global
-    upper bound."""
-    if len(hat) == 0 or len(bar) == 0:
-        raise ValueError("clouds must be non-empty")
+def evaluate_many(hat: Cloud, bar: Cloud, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, 3) angle array, the sum over hat points of the exact nearest
+    squared distance to the georeferenced bar cloud (a valid global upper bound)
+    and the nearest bar indices: (m,) and (m, n_hat), each row the same for any m."""
     p_hat = georeference(hat, angles)
     p_bar = georeference(bar, angles)
-    index = NnIndex(p_bar)
-    j, d2 = index.query_many(p_hat)
-    return Evaluation(angles=angles, objective=float(d2.sum()), assignment=j)
+    objectives = np.empty(len(p_hat))
+    assignments = np.empty((len(p_hat), len(hat)), dtype=np.intp)
+    for k in range(len(p_hat)):
+        assignments[k], d2 = NnIndex(p_bar[k]).query_many(p_hat[k])
+        objectives[k] = d2.sum()
+    return objectives, assignments
+
+
+def evaluate_ub(hat: Cloud, bar: Cloud, angles: EulerAngles) -> Evaluation:
+    """Feasible objective at one set of angles (evaluate_many's one-row case)."""
+    objectives, assignments = evaluate_many(hat, bar, angles.as_array()[None])
+    return Evaluation(angles=angles, objective=float(objectives[0]), assignment=assignments[0])
 
 
 def _cell_centers(box: AngleBox, n_d: int, jitter: np.ndarray | None,
@@ -82,54 +86,51 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     """Adaptive grid search: evaluate the n_d^3 cell centers of the current
     box, recenter a shrunken box on the incumbent, repeat until the time (or
     round) budget runs out. The search never leaves the original box. t_max is
-    checked after every batch of cfg.threads evaluations, mid-round too."""
+    checked after every batch of cells (BATCH_BYTES of points), mid-round too."""
     box0 = cfg.box
     box = box0
     rng = np.random.default_rng(cfg.seed)
+    batch = max(1, BATCH_BYTES // (24 * (len(hat) + len(bar))))
     best: Evaluation | None = None
     rounds = 0
     n_evals = 0
     jitter: np.ndarray | None = None
     t0 = time.monotonic()
 
-    def eval_at(c):
-        return evaluate_ub(hat, bar, EulerAngles(c[0], c[1], c[2]))
-
     def out_of_time() -> bool:
         return time.monotonic() - t0 >= cfg.t_max
 
-    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        while True:
-            rounds += 1
-            centers = _cell_centers(box, cfg.n_d, jitter, box0)
-            jitter = None
-            evals: list[Evaluation] = []
-            for k in range(0, len(centers), cfg.threads):
-                evals.extend(run(eval_at, centers[k:k + cfg.threads]))
-                if out_of_time():
-                    break
-            n_evals += len(evals)
-
+    while True:
+        rounds += 1
+        centers = _cell_centers(box, cfg.n_d, jitter, box0)
+        jitter = None
+        for k in range(0, len(centers), batch):
+            angles = centers[k:k + batch]
+            objectives, assignments = evaluate_many(hat, bar, angles)
+            n_evals += len(angles)
             # the incumbent, then the lowest linear cell index, wins ties
-            best = min(evals if best is None else [best, *evals], key=lambda e: e.objective)
-
-            if (cfg.max_rounds is not None and rounds >= cfg.max_rounds) or out_of_time():
+            b = int(np.argmin(objectives))
+            if best is None or objectives[b] < best.objective:
+                best = Evaluation(EulerAngles(*angles[b]), float(objectives[b]), assignments[b])
+            if out_of_time():
                 break
 
-            # shrink around the incumbent (clipped into the original box); on a
-            # stall we shrink anyway, and once the box collapses we restart from
-            # the full box with a seeded jitter, keeping the incumbent
-            widths = box.widths()
-            if np.all(widths < _MIN_BOX_WIDTH):
-                box = box0
-                jitter = rng.uniform(-0.5, 0.5, size=3) * (box0.widths() / cfg.n_d)
-                continue
-            center = best.angles.as_array()
-            half = cfg.shrink * widths
-            lows = np.maximum(box0.lows(), center - half)
-            highs = np.minimum(box0.highs(), center + half)
-            box = AngleBox.from_arrays(lows, highs)
+        if (cfg.max_rounds is not None and rounds >= cfg.max_rounds) or out_of_time():
+            break
+
+        # shrink around the incumbent (clipped into the original box); on a
+        # stall we shrink anyway, and once the box collapses we restart from
+        # the full box with a seeded jitter, keeping the incumbent
+        widths = box.widths()
+        if np.all(widths < _MIN_BOX_WIDTH):
+            box = box0
+            jitter = rng.uniform(-0.5, 0.5, size=3) * (box0.widths() / cfg.n_d)
+            continue
+        center = best.angles.as_array()
+        half = cfg.shrink * widths
+        lows = np.maximum(box0.lows(), center - half)
+        highs = np.minimum(box0.highs(), center + half)
+        box = AngleBox.from_arrays(lows, highs)
 
     assert best is not None
     return AgsResult(best=best, rounds=rounds, n_evals=n_evals)

@@ -185,7 +185,7 @@ def recovery_run():
     hat, bar, _ = synth_generate(200, 500, PLANTED, 0.0, seed=600)
     box = AngleBox.symmetric_deg(2.0)
     t0 = time.monotonic()
-    best = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5, threads=8))
+    best = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5))
     t_ags = time.monotonic() - t0
     t0 = time.monotonic()
     report = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=0.1,

@@ -11,6 +11,7 @@ import pytest
 from boresight.cloud import synth_generate
 from boresight.gopt import nsbb_solve
 from boresight.rotation import AngleBox, EulerAngles
+from boresight.search import AgsConfig, ags_run
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,3 +45,19 @@ def test_one_node_solve_leaves_no_missing_layer(tracer):
     layers = t.summarize().layers
     assert layers["gopt.evaluate_ub"].calls == 9
     assert layers["gopt.node_lower_bound"].calls == 9 - rep.nodes_pruned_infeasible
+
+
+def test_traced_grid_search_records_every_evaluation(tracer):
+    """aGS evaluates in batches, but each evaluation still builds and queries
+    one KD-tree through the wrapped call sites."""
+    hat, bar, _ = synth_generate(10, 20, EulerAngles.from_degrees(1.0, -0.5, 0.25), 0.02, seed=600)
+    t = tracer.Tracer()
+    with t.installed(), t.span("solve"):
+        res = ags_run(hat, bar, AgsConfig(n_d=3, t_max=60.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=2))
+    assert res.n_evals == 54
+    assert t.missing == []
+    layers = t.summarize().layers
+    assert layers["spatial.kdtree_build"].calls == res.n_evals
+    assert layers["spatial.kdtree_query"].calls == res.n_evals
+    assert layers["cloud.georeference"].calls >= 1

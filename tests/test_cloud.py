@@ -74,6 +74,27 @@ class TestGeoreference:
         a = EulerAngles(0.01, 0.02, -0.01)
         assert np.allclose(georeference(shifted, a), georeference(hat, a) + shift, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    def test_batch_rows_equal_single_calls_bitwise(self, m):
+        hat, _, _ = synth_generate(40, 50, EulerAngles.from_degrees(1, -0.5, 0.25), 0.02, seed=3)
+        angles = np.random.default_rng(m).uniform(-0.04, 0.04, size=(m, 3))
+        p = georeference(hat, angles)
+        assert p.shape == (m, len(hat), 3)
+        for k, a in enumerate(angles):
+            assert np.array_equal(p[k], georeference(hat, EulerAngles(*a)))
+
+    @pytest.mark.parametrize("offset, tol", [((0.0, 0.0, 0.0), 1e-12), ((5e5, 5e6, 0.0), 4e-9)])
+    def test_batch_matches_rotation_oracle(self, offset, tol):
+        """Each row within 1e-12 m of s + R_i (R_b l_i); a UTM-scale offset of s
+        moves every row by exactly that offset, up to rounding at its scale."""
+        hat, _, _ = synth_generate(30, 40, EulerAngles.from_degrees(1, -0.5, 0.25), 0.02, seed=4)
+        angles = np.random.default_rng(5).uniform(-0.04, 0.04, size=(7, 3))
+        p = georeference(Cloud(hat.l, hat.ins_rotation, hat.s + offset), angles)
+        for k, a in enumerate(angles):
+            Rb = rotation_from_angles(EulerAngles(*a))
+            expect = hat.s + np.einsum("nij,nj->ni", hat.ins_rotation, hat.l @ Rb.T)
+            assert np.abs(p[k] - offset - expect).max() <= tol
+
     def test_matches_per_point_formula(self):
         hat, _, _ = synth_generate(15, 20, EulerAngles.from_degrees(1, -0.5, 0.25), 0.0, seed=2)
         a = EulerAngles(0.005, -0.003, 0.002)

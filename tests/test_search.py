@@ -1,6 +1,7 @@
 """Objective evaluation and the adaptive grid search."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from boresight import search
 from boresight.cloud import synth_generate
 from boresight.rotation import AngleBox, EulerAngles
-from boresight.search import AgsConfig, ags, ags_run, evaluate_ub
+from boresight.search import AgsConfig, ags, ags_run, evaluate_many, evaluate_ub
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
@@ -58,6 +59,18 @@ class TestEvaluateUb:
         assert evaluate_ub(hat, bar, PLANTED).objective <= 1e-15
 
 
+class TestEvaluateMany:
+    def test_rows_equal_evaluate_ub_bitwise(self, small_scene):
+        hat, bar, _ = small_scene
+        angles = np.random.default_rng(4).uniform(-0.03, 0.03, size=(9, 3))
+        objectives, assignments = evaluate_many(hat, bar, angles)
+        assert objectives.shape == (9,) and assignments.shape == (9, len(hat))
+        for k, a in enumerate(angles):
+            ev = evaluate_ub(hat, bar, EulerAngles(*a))
+            assert objectives[k] == ev.objective
+            assert np.array_equal(assignments[k], ev.assignment)
+
+
 class TestAgsConfig:
     def test_rejects_bad_values(self):
         box = AngleBox.symmetric_deg(2.0)
@@ -67,8 +80,6 @@ class TestAgsConfig:
             AgsConfig(n_d=2, t_max=0.0, box=box)
         with pytest.raises(ValueError):
             AgsConfig(n_d=2, t_max=1.0, box=box, shrink=1.5)
-        with pytest.raises(ValueError):
-            AgsConfig(n_d=2, t_max=1.0, box=box, threads=0)
 
 
 class TestAgs:
@@ -112,39 +123,45 @@ class TestAgs:
         assert a.best.angles == b.best.angles
         assert a.n_evals == b.n_evals
 
-    def test_threads_same_incumbent(self, small_scene):
-        hat, bar, _ = small_scene
-        base = dict(n_d=4, t_max=60.0, box=AngleBox.symmetric_deg(2.0), max_rounds=3, seed=1)
-        a = ags(hat, bar, AgsConfig(**base, threads=1))
-        b = ags(hat, bar, AgsConfig(**base, threads=4))
-        assert a.objective == pytest.approx(b.objective, rel=1e-12)
-
     def test_objective_is_valid_upper_bound(self, small_scene):
         hat, bar, _ = small_scene
         ev = ags(hat, bar, AgsConfig(n_d=3, t_max=10.0, box=AngleBox.symmetric_deg(2.0), max_rounds=2))
         # feasibility: re-evaluating at the returned angles reproduces the value
         assert evaluate_ub(hat, bar, ev.angles).objective == pytest.approx(ev.objective, rel=1e-12)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_time_budget_checked_after_every_batch(self, small_scene, monkeypatch, threads):
-        """A round of 4^3 slow evaluations would take 6.4 s serially; the run
-        stops within one batch of `threads` evaluations after t_max."""
+    def test_time_budget_checked_after_every_batch(self, small_scene, monkeypatch):
+        """Batches of 4 evaluations that take 0.1 s each: a round of 4^3 cells
+        would take 1.6 s; the run stops within one batch after t_max."""
         hat, bar, _ = small_scene
-        real, pause = search.evaluate_ub, 0.1
+        real, pause = search.evaluate_many, 0.1
 
         def slow(*args):
             time.sleep(pause)
             return real(*args)
 
-        monkeypatch.setattr(search, "evaluate_ub", slow)
+        monkeypatch.setattr(search, "evaluate_many", slow)
+        monkeypatch.setattr(search, "BATCH_BYTES", 4 * 24 * (len(hat) + len(bar)))
         t_max = 0.3
         t0 = time.monotonic()
-        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=t_max, box=AngleBox.symmetric_deg(2.0),
-                                          threads=threads))
+        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=t_max, box=AngleBox.symmetric_deg(2.0)))
         elapsed = time.monotonic() - t0
         assert elapsed < t_max + pause + 0.15
         assert res.rounds == 1 and 0 < res.n_evals < 64
-        assert res.n_evals % threads == 0
+        assert res.n_evals % 4 == 0
+
+    def test_memory_bounded_by_one_batch(self):
+        """A round keeps the incumbent, not every evaluation: 1000 cells on a
+        500x1250 scene peak well below their 1000 assignments (4 MB)."""
+        hat, bar, _ = synth_generate(500, 1250, PLANTED, 0.02, seed=8)
+        cfg = AgsConfig(n_d=10, t_max=120.0, box=AngleBox.symmetric_deg(2.0), max_rounds=1)
+        tracemalloc.start()
+        try:
+            res = ags_run(hat, bar, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_evals == 1000
+        assert peak < 2 * 2**20
 
     def test_restart_after_collapse_keeps_searching(self, small_scene):
         hat, bar, _ = small_scene
