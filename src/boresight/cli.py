@@ -59,6 +59,13 @@ def _box_arg(bounds_deg: float) -> AngleBox:
     return AngleBox.symmetric_deg(bounds_deg)
 
 
+def _ags_config(**kwargs) -> AgsConfig:
+    try:
+        return AgsConfig(**kwargs)
+    except ValueError as exc:  # n_d, t_max or shrink out of range: an argument, not data
+        raise UsageError(str(exc)) from exc
+
+
 def _write_report(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -195,10 +202,10 @@ def _cmd_crop(args) -> int:
 
 
 def _cmd_ags(args) -> int:
+    cfg = _ags_config(n_d=args.nd, t_max=args.tmax, box=_box_arg(args.bounds),
+                      shrink=args.shrink, seed=args.seed, max_rounds=args.rounds)
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
-    cfg = AgsConfig(n_d=args.nd, t_max=args.tmax, box=_box_arg(args.bounds),
-                    shrink=args.shrink, seed=args.seed, max_rounds=args.rounds)
     t0 = time.monotonic()
     result = ags_run(hat, bar, cfg)
     wall = time.monotonic() - t0
@@ -220,19 +227,22 @@ def _cmd_ags(args) -> int:
 
 
 def _cmd_nsbb(args) -> int:
-    hat = load_fused(args.hat, label="hat")
-    bar = load_fused(args.bar, label="bar")
     box = _box_arg(args.bounds)
     if args.time_limit is not None and args.time_limit <= 0:
         raise UsageError("--time-limit must be positive seconds")
+    if args.eps_rel <= 0 or args.eps_abs <= 0:
+        raise UsageError("--eps-rel and --eps-abs must be positive")
+    cfg = None if args.no_ags_init else _ags_config(
+        n_d=args.ags_nd, t_max=args.time_limit or 1e9, box=box, seed=args.seed,
+        max_rounds=args.ags_rounds)
+    hat = load_fused(args.hat, label="hat")
+    bar = load_fused(args.bar, label="bar")
     init = None
     ags_objective = None
     # --time-limit is one budget: the warm start spends from it, nsBB gets the rest
     time_left = args.time_limit
     t_ags = 0.0
-    if not args.no_ags_init:
-        cfg = AgsConfig(n_d=args.ags_nd, t_max=args.time_limit or 1e9,
-                        box=box, seed=args.seed, max_rounds=args.ags_rounds)
+    if cfg is not None:
         t0 = time.monotonic()
         init = ags_run(hat, bar, cfg).best
         t_ags = time.monotonic() - t0
@@ -299,9 +309,9 @@ def _cmd_apply(args) -> int:
 
 def _root_pairs(args):
     """Clouds, box, --f-upper (default inf) and the box's pairs before and after reduction."""
+    box = _box_arg(args.bounds)
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
-    box = _box_arg(args.bounds)
     f_upper = np.inf if args.f_upper is None else args.f_upper
     pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
     return hat, bar, box, f_upper, pairs, reduce_pairs(pairs, f_upper)

@@ -36,6 +36,17 @@ class NnIndex:
         diffs = self._points[j] - Q
         return j, np.einsum("ij,ij->i", diffs, diffs)
 
+    def query_ball(self, Q, r, cap: float = np.inf) -> tuple[np.ndarray, np.ndarray | None]:
+        """Points within r[i] of Q[i] as flat arrays: (counts, indices), row i's indices
+        ascending in its slice. Past cap it only counts: indices is None when the
+        counts sum above cap, so cap=-1 is a count-only query."""
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        counts = self._tree.query_ball_point(Q, r, return_length=True)
+        if counts.sum() > cap:
+            return counts, None
+        lists = self._tree.query_ball_point(Q, r, return_sorted=True)
+        return counts, np.fromiter(itertools.chain.from_iterable(lists), np.intp, counts.sum())
+
 
 def max_vertex_sq_dist(a, b) -> float:
     """Max squared distance between conv(a) and conv(b); attained at vertices."""

@@ -48,8 +48,9 @@ def test_one_node_solve_leaves_no_missing_layer(tracer):
 
 
 def test_traced_grid_search_records_every_evaluation(tracer):
-    """aGS evaluates in batches, but each evaluation still builds and queries
-    one KD-tree through the wrapped call sites."""
+    """aGS evaluates in batches, and every KD-tree it builds and queries goes
+    through the wrapped call sites: here each round's 27 cells share one tree,
+    since the candidate lists average 6 and 3 of the 20 bar points per hat point."""
     hat, bar, _ = synth_generate(10, 20, EulerAngles.from_degrees(1.0, -0.5, 0.25), 0.02, seed=600)
     t = tracer.Tracer()
     with t.installed(), t.span("solve"):
@@ -58,6 +59,6 @@ def test_traced_grid_search_records_every_evaluation(tracer):
     assert res.n_evals == 54
     assert t.missing == []
     layers = t.summarize().layers
-    assert layers["spatial.kdtree_build"].calls == res.n_evals
-    assert layers["spatial.kdtree_query"].calls == res.n_evals
+    assert layers["spatial.kdtree_build"].calls == res.rounds == 2
+    assert layers["spatial.kdtree_query"].calls == res.rounds
     assert layers["cloud.georeference"].calls >= 1

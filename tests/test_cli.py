@@ -140,6 +140,17 @@ class TestAgs:
         kv1.pop("wall_time_s"), kv2.pop("wall_time_s")
         assert kv1 == kv2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--nd", "0"], "n_d must be >= 1"),
+        (["--tmax", "-1"], "t_max must be > 0"),
+        (["--shrink", "1.5"], "shrink must be in (0, 1)"),
+    ])
+    def test_invalid_search_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
+        hat, bar, _ = synth_files
+        code, _, err = run(capsys, "ags", "--hat", hat, "--bar", bar, *argv)
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+
 
 class TestNsbb:
     def test_pipeline_f_upper_not_above_ags(self, synth_files, capsys):
@@ -231,6 +242,17 @@ class TestNsbb:
         code, _, err = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--time-limit", "0")
         assert code == EXIT_USAGE
         assert "--time-limit" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ags-nd", "0"], "n_d must be >= 1"),
+        (["--eps-rel", "0"], "--eps-rel and --eps-abs must be positive"),
+        (["--eps-abs", "-1"], "--eps-rel and --eps-abs must be positive"),
+    ])
+    def test_invalid_solver_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
+        hat, bar, _ = synth_files
+        code, _, err = run(capsys, "nsbb", "--hat", hat, "--bar", bar, *argv)
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
 
     def test_lb_mode_option_is_gone(self, synth_files, capsys):
         hat, bar, _ = synth_files

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from boresight import search
-from boresight.cloud import synth_generate
+from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import AgsConfig, ags, ags_run, evaluate_many, evaluate_ub
+from boresight.spatial import NnIndex
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
 
 def brute_force_objective(hat, bar, angles):
     """Oracle: double-loop sum of min squared distances."""
-    from boresight.cloud import georeference
-
     p_hat = georeference(hat, angles)
     p_bar = georeference(bar, angles)
     total = 0.0
@@ -45,8 +44,6 @@ class TestEvaluateUb:
 
     def test_assignment_reproduces_objective(self, small_scene):
         hat, bar, _ = small_scene
-        from boresight.cloud import georeference
-
         angles = EulerAngles(0.005, 0.001, -0.004)
         ev = evaluate_ub(hat, bar, angles)
         p_hat = georeference(hat, angles)
@@ -69,6 +66,66 @@ class TestEvaluateMany:
             ev = evaluate_ub(hat, bar, EulerAngles(*a))
             assert objectives[k] == ev.objective
             assert np.array_equal(assignments[k], ev.assignment)
+
+
+def per_angle_trees(hat, bar, angles):
+    """Oracle: one NnIndex per angle and query_many's objective."""
+    p_hat, p_bar = georeference(hat, angles), georeference(bar, angles)
+    rows = [NnIndex(p_bar[k]).query_many(p_hat[k]) for k in range(len(angles))]
+    return np.array([d2.sum() for _, d2 in rows]), np.array([j for j, _ in rows])
+
+
+@pytest.fixture
+def trees_built(monkeypatch):
+    """Counts the KD-trees that search builds."""
+    built = []
+
+    def counting(points):
+        built.append(len(points))
+        return NnIndex(points)
+
+    monkeypatch.setattr(search, "NnIndex", counting)
+    return built
+
+
+class TestCandidatePath:
+    """A batch whose candidate lists certify shares one tree, bitwise equal to a
+    tree per angle."""
+
+    @pytest.mark.parametrize("noise, offset", [(0.0, (0.0, 0.0, 0.0)), (0.02, (0.0, 0.0, 0.0)),
+                                               (0.02, (5e5, 5e6, 0.0))])
+    def test_every_round_bitwise_equal_to_per_angle_trees(self, noise, offset, trees_built,
+                                                          monkeypatch):
+        hat, bar, _ = synth_generate(30, 60, PLANTED, noise, seed=5)
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in (hat, bar))
+        real, shared = search.evaluate_many, []
+
+        def checked(h, b, angles):
+            before = len(trees_built)
+            objectives, assignments = real(h, b, angles)
+            expected = per_angle_trees(h, b, angles)
+            assert np.array_equal(objectives, expected[0])
+            assert np.array_equal(assignments, expected[1])
+            shared.append(len(trees_built) - before == 1)
+            return objectives, assignments
+
+        monkeypatch.setattr(search, "evaluate_many", checked)
+        res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=5))
+        per_round = len(shared) // 5
+        assert res.n_evals == 5000 and len(shared) == 5 * per_round
+        assert not any(shared[:per_round])  # the ±2° round is too wide to share a tree
+        assert all(shared[-3 * per_round:])  # rounds 3-5 share one tree per batch
+
+    def test_identical_angles_share_one_tree(self, trees_built):
+        """A batch of one angle repeated has delta = 0: each list holds the nearest."""
+        hat, bar, _ = synth_generate(30, 60, PLANTED, 0.02, seed=5)
+        angles = np.tile(PLANTED.as_array(), (7, 1))
+        objectives, assignments = evaluate_many(hat, bar, angles)
+        assert len(trees_built) == 1
+        expected = per_angle_trees(hat, bar, angles)
+        assert np.array_equal(objectives, expected[0])
+        assert np.array_equal(assignments, expected[1])
 
 
 class TestAgsConfig:
@@ -161,6 +218,21 @@ class TestAgs:
         finally:
             tracemalloc.stop()
         assert res.n_evals == 1000
+        assert peak < 2 * 2**20
+
+    def test_memory_bounded_on_candidate_path(self, trees_built):
+        """The late rounds share one tree per batch; the count-only query and the
+        chunked gather keep the same cap."""
+        hat, bar, _ = synth_generate(500, 1250, PLANTED, 0.02, seed=8)
+        cfg = AgsConfig(n_d=5, t_max=120.0, box=AngleBox.symmetric_deg(2.0), max_rounds=4)
+        tracemalloc.start()
+        try:
+            res = ags_run(hat, bar, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_evals == 500
+        assert len(trees_built) < res.n_evals  # a tree per evaluation without shared ones
         assert peak < 2 * 2**20
 
     def test_restart_after_collapse_keeps_searching(self, small_scene):

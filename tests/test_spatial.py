@@ -65,6 +65,32 @@ class TestNnIndex:
         with pytest.raises(ValueError):
             NnIndex(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("n_points", [1, 2, 300])
+    def test_query_ball_matches_linear_scan(self, n_points):
+        """Flat (counts, indices) equal a scan's ascending in-ball indices, on
+        radii from empty balls to balls that hold every point."""
+        rng = np.random.default_rng(n_points)
+        pts = rng.random((n_points, 3))
+        qs = rng.random((60, 3))
+        idx = NnIndex(pts)
+        for scale in (0.0, 0.05, 0.3, 3.0):
+            r = rng.random(len(qs)) * scale
+            inside = [np.flatnonzero(np.einsum("ij,ij->i", pts - q, pts - q) <= rq * rq)
+                      for q, rq in zip(qs, r)]
+            counts, j = idx.query_ball(qs, r)
+            assert counts.tolist() == [len(x) for x in inside]
+            assert np.array_equal(j, np.concatenate(inside).astype(np.intp))
+
+    def test_query_ball_counts_only_past_cap(self):
+        pts = np.random.default_rng(5).random((100, 3))
+        idx = NnIndex(pts)
+        counts, j = idx.query_ball(pts, 0.2)
+        assert j is not None and len(j) == counts.sum()
+        capped, none = idx.query_ball(pts, 0.2, cap=counts.sum() - 1)
+        assert none is None and np.array_equal(capped, counts)
+        assert idx.query_ball(pts, 0.2, cap=counts.sum())[1] is not None
+        assert idx.query_ball(pts, 0.0, cap=-1)[1] is None  # count-only, even with empty balls
+
 
 class TestGjk:
     def test_identical_singletons(self):
