@@ -215,6 +215,7 @@ def _cmd_ags(args) -> int:
         ("nd", args.nd), ("tmax", args.tmax), ("shrink", args.shrink),
         ("bounds_deg", args.bounds), ("seed", args.seed),
         ("rounds", result.rounds), ("evaluations", result.n_evals),
+        ("screened", result.n_screened),
         ("objective", repr(result.best.objective)),
     ] + _angles_report(result.best.angles) + [("wall_time_s", wall)]
     lines = _report_kv(kv) + _human_table([

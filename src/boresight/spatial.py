@@ -27,7 +27,11 @@ class NnIndex:
     def __init__(self, points):
         pts = _as_vertex_set(points)
         self._points = pts
-        self._tree = cKDTree(pts)
+        # Sliding-midpoint splits without node shrinking: at 2000x5000 a build takes
+        # 0.9 ms instead of 1.8 and a 2000-point query 3.7 ms instead of 3.0, and aGS,
+        # which builds a tree per cell there, takes 31% less time (2-vCPU VM); the
+        # 100x250 and 30x60 bench solves are within 2%.
+        self._tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
     def query_many(self, Q) -> tuple[np.ndarray, np.ndarray]:
         """Batch nearest neighbors: (indices, squared distances). No tie-break guarantee."""

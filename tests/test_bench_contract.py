@@ -62,3 +62,21 @@ def test_traced_grid_search_records_every_evaluation(tracer):
     assert layers["spatial.kdtree_build"].calls == res.rounds == 2
     assert layers["spatial.kdtree_query"].calls == res.rounds
     assert layers["cloud.georeference"].calls >= 1
+
+
+def test_traced_screened_grid_search_records_both_passes(tracer):
+    """On a 100-point hat a round first screens every cell on a hat sample, then
+    evaluates in full the cells that can still win. Both passes build and query
+    their KD-trees through the wrapped call sites: here one per cell and pass,
+    since the ±2° grid of 64 cells is too wide to share a tree."""
+    hat, bar, _ = synth_generate(100, 250, EulerAngles.from_degrees(1.0, -0.5, 0.25), 0.02,
+                                 seed=600)
+    t = tracer.Tracer()
+    with t.installed(), t.span("solve"):
+        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=60.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=1))
+    assert res.n_screened > 0 and res.n_evals + res.n_screened == 64
+    assert t.missing == []
+    layers = t.summarize().layers
+    assert layers["spatial.kdtree_build"].calls == 64 + res.n_evals
+    assert layers["spatial.kdtree_query"].calls == 64 + res.n_evals

@@ -140,6 +140,20 @@ class TestAgs:
         kv1.pop("wall_time_s"), kv2.pop("wall_time_s")
         assert kv1 == kv2
 
+    def test_report_counts_screened_cells(self, tmp_path, capsys):
+        """On a 64-point hat each round screens its cells on a sample first:
+        evaluations counts the full ones, screened the cells ruled out."""
+        base = str(tmp_path / "scene")
+        assert main(["synth", "--n", "64,130", "--angles", "1,-0.5,0.25", "--noise", "0.02",
+                     "--seed", "7", "--out", base]) == EXIT_OK
+        capsys.readouterr()
+        code, out, _ = run(capsys, "ags", "--hat", base + "_hat.txt", "--bar", base + "_bar.txt",
+                           "--nd", "5", "--tmax", "60", "--rounds", "2")
+        assert code == EXIT_OK
+        kv = parse_report(out)
+        assert int(kv["screened"]) > 0
+        assert int(kv["evaluations"]) + int(kv["screened"]) == 2 * 5**3
+
     @pytest.mark.parametrize("argv, message", [
         (["--nd", "0"], "n_d must be >= 1"),
         (["--tmax", "-1"], "t_max must be > 0"),

@@ -1,5 +1,6 @@
 """Objective evaluation and the adaptive grid search."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -128,6 +129,115 @@ class TestCandidatePath:
         assert np.array_equal(assignments, expected[1])
 
 
+def screen_scene(noise, offset=(0.0, 0.0, 0.0), lift=0.0):
+    """A 100x250 scene shifted by offset; lift raises the screen's sampled hat
+    points, so that they carry most of every cell's objective."""
+    hat, bar, _ = synth_generate(100, 250, PLANTED, noise, seed=5)
+    up = np.zeros((len(hat), 3))
+    up[::search._SCREEN_STRIDE, 2] = lift
+    return (Cloud(hat.l, hat.ins_rotation, hat.s + np.asarray(offset) + up),
+            Cloud(bar.l, bar.ins_rotation, bar.s + np.asarray(offset)))
+
+
+@pytest.fixture
+def screen_calls(monkeypatch):
+    """Records evaluate_many's calls as (hat points, angles, objectives)."""
+    real, calls = search.evaluate_many, []
+
+    def recording(h, b, angles):
+        objectives, assignments = real(h, b, angles)
+        calls.append((len(h), angles.copy(), objectives))
+        return objectives, assignments
+
+    monkeypatch.setattr(search, "evaluate_many", recording)
+    return calls
+
+
+class TestScreen:
+    """Each round screens its cells on a strided hat sample (a lower bound) and
+    evaluates in full only the cells whose bound can still win."""
+
+    @pytest.mark.parametrize("noise, offset, lift", [
+        (0.0, (0.0, 0.0, 0.0), 0.0), (0.02, (0.0, 0.0, 0.0), 0.0),
+        (0.02, (5e5, 5e6, 0.0), 0.0), (0.02, (0.0, 0.0, 0.0), 1.0)])
+    def test_bitwise_equal_to_unscreened(self, noise, offset, lift, monkeypatch):
+        hat, bar = screen_scene(noise, offset, lift)
+        cfg = AgsConfig(n_d=10, t_max=120.0, box=AngleBox.symmetric_deg(2.0), max_rounds=5)
+        screened = ags_run(hat, bar, cfg)
+        monkeypatch.setattr(search, "_SCREEN_MIN_POINTS", len(hat) + 1)
+        full = ags_run(hat, bar, cfg)
+        assert screened.n_screened > 0 and full.n_screened == 0
+        assert screened.n_evals + screened.n_screened == full.n_evals == 5000
+        assert screened.rounds == full.rounds == 5
+        assert screened.best.objective == full.best.objective
+        assert screened.best.angles == full.best.angles
+        assert np.array_equal(screened.best.assignment, full.best.assignment)
+
+    def test_screened_out_cells_cannot_win(self, screen_calls):
+        """Every cell whose sampled bound is at most the incumbent is evaluated in
+        full, and every cell left out is worse than the incumbent. The lifted
+        sample makes the bound nearly tight, so a looser one would miss cells."""
+        hat, bar = screen_scene(0.02, lift=1.0)
+        calls = screen_calls
+        res = ags_run(hat, bar, AgsConfig(n_d=6, t_max=120.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=2))
+        low = {tuple(a): v for n, angles, values in calls if n < len(hat)
+               for a, v in zip(angles, values)}
+        full = {tuple(a) for n, angles, _ in calls if n == len(hat) for a in angles}
+        assert len(low) == 2 * 6**3 and len(full) == res.n_evals
+        out = set(low) - full
+        assert len(out) == res.n_screened > 0
+        assert all(low[a] > res.best.objective for a in out)
+        assert all(v <= evaluate_ub(hat, bar, EulerAngles(*a)).objective for a, v in low.items())
+        assert [a for a in out if evaluate_ub(hat, bar, EulerAngles(*a)).objective
+                <= res.best.objective] == []
+        assert [a for a, v in low.items() if v <= res.best.objective and a not in full] == []
+
+    def test_round_that_rules_nothing_out_stops_screening(self, screen_calls):
+        """On a ±0.016° box around the planted angles no sampled bound exceeds the
+        first round's incumbent: the second round screens one batch, then
+        evaluates all its cells in full."""
+        hat, bar = screen_scene(0.02)
+        half = np.radians(0.016)
+        box = AngleBox.from_arrays(PLANTED.as_array() - half, PLANTED.as_array() + half)
+        res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=2))
+        passes = [(n < len(hat), sum(len(a) for _, a, _ in calls))
+                  for n, calls in itertools.groupby(screen_calls, key=lambda c: c[0])]
+        assert [screen for screen, _ in passes] == [True, False, True, False]
+        assert passes[0][1] == 1000 and passes[2][1] < 100 and passes[3][1] == 1000
+        assert res.n_evals + res.n_screened == 2000
+
+    def test_time_budget_during_first_screen_evaluates_lowest_cell(self, screen_calls,
+                                                                   monkeypatch):
+        """Screen batches of 4 cells that take 0.1 s each: the budget runs out
+        within the first round's screen, and the lowest-screened cell so far is
+        evaluated in full as the incumbent."""
+        hat, bar = screen_scene(0.02)
+        calls = screen_calls
+        real, pause = search.evaluate_many, 0.1
+
+        def slow_screen(h, b, angles):
+            if len(h) < len(hat):
+                time.sleep(pause)
+            return real(h, b, angles)
+
+        monkeypatch.setattr(search, "evaluate_many", slow_screen)
+        n_sample = len(range(0, len(hat), search._SCREEN_STRIDE))
+        monkeypatch.setattr(search, "BATCH_BYTES", 4 * 24 * (n_sample + len(bar)))
+        t_max = 0.3
+        t0 = time.monotonic()
+        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=t_max, box=AngleBox.symmetric_deg(2.0)))
+        elapsed = time.monotonic() - t0
+        assert elapsed < t_max + pause + 0.15
+        screen = [(v, a) for n, angles, values in calls if n < len(hat)
+                  for a, v in zip(angles, values)]
+        assert res.rounds == 1 and res.n_evals == 1 and res.n_screened == 0
+        assert 0 < len(screen) < 64 and len(screen) % 4 == 0
+        lowest = min(range(len(screen)), key=lambda k: screen[k][0])
+        assert np.array_equal(res.best.angles.as_array(), screen[lowest][1])
+        assert res.best.objective == evaluate_ub(hat, bar, res.best.angles).objective
+
+
 class TestAgsConfig:
     def test_rejects_bad_values(self):
         box = AngleBox.symmetric_deg(2.0)
@@ -217,7 +327,7 @@ class TestAgs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.n_evals == 1000
+        assert res.n_evals + res.n_screened == 1000
         assert peak < 2 * 2**20
 
     def test_memory_bounded_on_candidate_path(self, trees_built):
@@ -231,8 +341,10 @@ class TestAgs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.n_evals == 500
-        assert len(trees_built) < res.n_evals  # a tree per evaluation without shared ones
+        cells = 5**3 * 4
+        assert res.n_evals + res.n_screened == cells
+        # a tree per evaluation of either pass without shared ones
+        assert len(trees_built) < cells + res.n_evals
         assert peak < 2 * 2**20
 
     def test_restart_after_collapse_keeps_searching(self, small_scene):
