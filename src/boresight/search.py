@@ -183,17 +183,19 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
         limit = np.inf if best is None else best.objective
         low = np.zeros(len(centers))  # bound 0 for unscreened cells: always evaluated
         n_low = 0 if screen else len(centers)
+        timed_out = False
         while n_low < len(centers):
             cells = slice(n_low, n_low + screen_batch)
             low[cells] = evaluate_many(sample, bar, centers[cells])[0]
             n_low = min(n_low + screen_batch, len(centers))
-            if out_of_time():
+            timed_out = out_of_time()
+            if timed_out:
                 break
             if np.isfinite(limit) and np.all(low[:n_low] <= limit * (1.0 + _SCREEN_MARGIN)):
                 n_low = len(centers)  # the screen rules out nothing so far: skip the rest
                 break
         order = np.argsort(low[:n_low], kind="stable")
-        if n_low < len(centers):  # out of time: only a first round needs a cell
+        if timed_out:  # only a first round needs a cell, even after the last screen batch
             order = order[:1] if best is None else order[:0]
 
         win: tuple | None = None  # the round's (objective, cell, assignment) minimum

@@ -237,6 +237,43 @@ class TestScreen:
         assert np.array_equal(res.best.angles.as_array(), screen[lowest][1])
         assert res.best.objective == evaluate_ub(hat, bar, res.best.angles).objective
 
+    def test_time_budget_on_last_screen_batch(self, screen_calls, monkeypatch):
+        """A first round whose one screen batch outlasts t_max evaluates only its
+        lowest-screened cell in full; a later round's full screen that outlasts
+        it ends the run with no full evaluation."""
+        hat, bar = screen_scene(0.02)
+        calls = screen_calls
+        real, pause = search.evaluate_many, 0.1
+
+        def slow_screen(h, b, angles):
+            if len(h) < len(hat):
+                time.sleep(pause)
+            return real(h, b, angles)
+
+        monkeypatch.setattr(search, "evaluate_many", slow_screen)
+        cfg = AgsConfig(n_d=3, t_max=0.05, box=AngleBox.symmetric_deg(2.0))
+        res = ags_run(hat, bar, cfg)
+        assert [(n < len(hat), len(a)) for n, a, _ in calls] == [(True, 27), (False, 1)]
+        assert res.rounds == 1 and res.n_evals == 1 and res.n_screened == 0
+        lowest = int(np.argmin(calls[0][2]))
+        assert np.array_equal(res.best.angles.as_array(), calls[0][1][lowest])
+
+        first = ags_run(hat, bar, AgsConfig(n_d=3, t_max=120.0, box=cfg.box, max_rounds=1))
+        screens = []
+
+        def slow_second_screen(h, b, angles):
+            if len(h) < len(hat):
+                screens.append(len(angles))
+                if len(screens) == 2:
+                    time.sleep(pause)
+            return real(h, b, angles)
+
+        monkeypatch.setattr(search, "evaluate_many", slow_second_screen)
+        calls.clear()
+        res = ags_run(hat, bar, AgsConfig(n_d=3, t_max=pause, box=cfg.box))
+        assert res.rounds == 2 and screens == [27, 27] and calls[-1][0] < len(hat)
+        assert res.best.objective == first.best.objective
+
 
 class TestAgsConfig:
     def test_rejects_bad_values(self):
@@ -330,7 +367,7 @@ class TestAgs:
         assert res.n_evals + res.n_screened == 1000
         assert peak < 2 * 2**20
 
-    def test_memory_bounded_on_candidate_path(self, trees_built):
+    def test_memory_bounded_on_candidate_path(self, trees_built, screen_calls):
         """The late rounds share one tree per batch; the count-only query and the
         chunked gather keep the same cap."""
         hat, bar, _ = synth_generate(500, 1250, PLANTED, 0.02, seed=8)
@@ -341,10 +378,10 @@ class TestAgs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = 5**3 * 4
-        assert res.n_evals + res.n_screened == cells
+        assert res.n_evals + res.n_screened == 5**3 * 4
+        screen_evals = sum(len(a) for n, a, _ in screen_calls if n < len(hat))
         # a tree per evaluation of either pass without shared ones
-        assert len(trees_built) < cells + res.n_evals
+        assert len(trees_built) < screen_evals + res.n_evals
         assert peak < 2 * 2**20
 
     def test_restart_after_collapse_keeps_searching(self, small_scene):
