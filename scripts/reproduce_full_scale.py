@@ -22,7 +22,7 @@ from pathlib import Path
 from boresight.cloud import load_fused
 from boresight.gopt import nsbb_solve
 from boresight.rotation import AngleBox, EulerAngles
-from boresight.search import AgsConfig, ags, evaluate_ub
+from boresight.search import AgsConfig, ags_run, evaluate_ub
 
 
 def run_dataset(base: Path, name: str) -> None:
@@ -34,7 +34,7 @@ def run_dataset(base: Path, name: str) -> None:
           f"{evaluate_ub(hat, bar, EulerAngles(0, 0, 0)).objective:.4f}")
 
     t0 = time.monotonic()
-    best = ags(hat, bar, AgsConfig(n_d=30, t_max=100.0, box=box))
+    best = ags_run(hat, bar, AgsConfig(n_d=30, t_max=100.0, box=box)).best
     print(f"aGS objective: {best.objective:.4f} in {time.monotonic() - t0:.1f}s")
 
     t0 = time.monotonic()

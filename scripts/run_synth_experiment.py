@@ -17,7 +17,7 @@ import numpy as np
 from boresight.cloud import synth_generate
 from boresight.gopt import nsbb_solve
 from boresight.rotation import AngleBox, EulerAngles
-from boresight.search import AgsConfig, ags, evaluate_ub
+from boresight.search import AgsConfig, ags_run, evaluate_ub
 
 
 def main(argv=None) -> int:
@@ -42,8 +42,8 @@ def main(argv=None) -> int:
     print(f"objective at zero angles: {evaluate_ub(hat, bar, EulerAngles(0, 0, 0)).objective:.6g}")
 
     t0 = time.monotonic()
-    best = ags(hat, bar, AgsConfig(n_d=args.nd, t_max=120.0, box=box,
-                                   max_rounds=args.rounds, seed=args.seed))
+    best = ags_run(hat, bar, AgsConfig(n_d=args.nd, t_max=120.0, box=box,
+                                       max_rounds=args.rounds, seed=args.seed)).best
     t_ags = time.monotonic() - t0
     err = np.degrees(np.abs(best.angles.as_array() - truth.as_array()))
     print(f"\naGS: objective={best.objective:.6g} in {t_ags:.1f}s")

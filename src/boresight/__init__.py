@@ -9,7 +9,7 @@ per-pair distance bounds over angle boxes.
 from .cloud import Cloud, CropBox, georeference, load_fused, save_fused, synth_generate
 from .gopt import SolveReport, nsbb_solve
 from .rotation import AngleBox, EulerAngles, rotation_from_angles
-from .search import AgsConfig, Evaluation, ags, evaluate_ub
+from .search import AgsConfig, Evaluation, ags_run, evaluate_ub
 
 __all__ = [
     "AngleBox",
@@ -19,7 +19,7 @@ __all__ = [
     "Evaluation",
     "EulerAngles",
     "SolveReport",
-    "ags",
+    "ags_run",
     "evaluate_ub",
     "georeference",
     "load_fused",

@@ -70,6 +70,27 @@ def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarr
     return np.clip(d / np.where(det != 0, det, 1.0)[:, None], -hw, hw)
 
 
+def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
+                box: AngleBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets g_ij(c + d) = b + A d + e of pairs (i, j) around the box
+    midpoint c: b (3m,), A (3m, 3) and the bounds rho (m,) on ||e||.
+
+    vec([R(c), dR/dalpha, dR/dbeta, dR/dgamma]) times the difference of the
+    pairs' placement columns is added to the s-difference, formed first so
+    that UTM-scale positions cancel exactly. Every second partial of R
+    applied to l has norm at most ||l||, so ||e|| <= (sum_k hw_k)^2
+    (||l_i|| + ||l_j||) / 2, widened by POINT_SLACK for rounding.
+    """
+    mid = box.midpoint()
+    V = np.concatenate([rotation_from_angles(mid)[None], rotation_jacobian(mid)]).reshape(4, 9)
+    dK = hat.placement.reshape(9, -1, 3)[:, i] - bar.placement.reshape(9, -1, 3)[:, j]
+    g = V @ dK.reshape(9, -1)
+    b = (hat.s[i] - bar.s[j]).reshape(-1) + g[0]
+    rho = (0.5 * (0.5 * box.widths()).sum() ** 2
+           * (np.linalg.norm(hat.l[i], axis=1) + np.linalg.norm(bar.l[j], axis=1)) + POINT_SLACK)
+    return b, g[1:].T, rho
+
+
 def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -> float:
     """Lower bound that shares one rotation among the points with a single
     surviving partner.
@@ -78,37 +99,19 @@ def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -
     nearest partner wherever the objective is at or below the upper bound the
     set was reduced with. Over those angles the objective is at least
     sum_single ||g_ij(c + d)||^2 + M, with M = sum_multi min_j c_lo_ij and
-    g_ij the pair's offset at the box midpoint c shifted by d. Linearising,
-    g_ij = g0 + J d + e with ||e|| <= rho_ij = (sum_k hw_k)^2 (||l_i|| + ||l_j||) / 2,
-    since every second partial of R applied to l has norm at most ||l||. With
-    Q the minimum of sum ||g0 + J d||^2 over the box, the bound is
-    (sqrt(Q) - ||rho||)_+^2 + M (Minkowski). Q is certified from a candidate
-    minimiser by the convexity cut, so its accuracy does not matter.
+    g_ij the pair's offset at the box midpoint c shifted by d, within rho_ij
+    of its linearisation g0 + J d (_pair_model). With Q the minimum of
+    sum ||g0 + J d||^2 over the box, the bound is (sqrt(Q) - ||rho||)_+^2 + M
+    (Minkowski). Q is certified from a candidate minimiser by the convexity
+    cut, so its accuracy does not matter.
     """
     counts = np.bincount(pairs.i, minlength=pairs.n_hat)
     multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
     single = counts[pairs.i] == 1
     if not single.any():
         return multi
-    i, j = pairs.i[single], pairs.j[single]
-    mid = box.midpoint()
     hw = 0.5 * box.widths()
-    R, dR = rotation_from_angles(mid), rotation_jacobian(mid)
-
-    def placed(cloud: Cloud, ids: np.ndarray):
-        """INS-rotated R(c) l and its partials, (n, 3) and (n, 3, 3)."""
-        ins, l = cloud.ins_rotation[ids], cloud.l[ids]
-        return (np.einsum("nij,nj->ni", ins, l @ R.T),
-                np.einsum("nij,nkj->nik", ins, (l @ dR.reshape(9, 3).T).reshape(-1, 3, 3)))
-
-    (hv, hJ), (bv, bJ) = placed(hat, i), placed(bar, j)
-    # the s-difference first: UTM-scale positions cancel exactly. The terms
-    # are closed-form products, exact up to rounding like a single-vertex
-    # polytope, so each rho is widened by POINT_SLACK
-    b = ((hat.s[i] - bar.s[j]) + (hv - bv)).reshape(-1)
-    A = (hJ - bJ).reshape(-1, 3)
-    rho = (0.5 * hw.sum() ** 2 * (np.linalg.norm(hat.l[i], axis=1)
-                                  + np.linalg.norm(bar.l[j], axis=1)) + POINT_SLACK)
+    b, A, rho = _pair_model(hat, bar, pairs.i[single], pairs.j[single], box)
     cands = _box_qp_candidates(A.T @ A, A.T @ b, hw)
     res = A @ cands.T + b[:, None]
     k = np.argmin(np.einsum("rc,rc->c", res, res))

@@ -122,29 +122,17 @@ def build_miqcqp(hat: Cloud, bar: Cloud, pairs: PairSet, box: AngleBox) -> Miqcq
     ))
 
     def georef_constraints(cloud, idx, prefix):
-        # p_e - [s + R_ins R(u,v,w) l]_e = 0
-        R_ins = cloud.ins_rotation[idx]
-        l = cloud.l[idx]
-        s = cloud.s[idx]
+        # p_e - [s + R_ins R(u,v,w) l]_e = 0, where [R_ins R l]_e is vec(R)
+        # times placement column (idx, e); each monomial of R is in one entry
         for e in range(3):
-            quad: dict[tuple[str, str], float] = {}
-            lin: dict[str, float] = {f"{prefix}_{idx}_{e}": 1.0}
-            for r in range(3):
-                for c in range(3):
-                    coef0 = -R_ins[e, r] * l[c]
-                    if coef0 == 0.0:
-                        continue
-                    for term_coef, names in ROTATION_MONOMIALS[3 * r + c]:
-                        coef = coef0 * term_coef
-                        if len(names) == 2:
-                            key = tuple(sorted(names))
-                            quad[key] = quad.get(key, 0.0) + coef
-                        else:
-                            lin[names[0]] = lin.get(names[0], 0.0) + coef
+            terms = [(-k * coef, names)
+                     for k, entry in zip(cloud.placement[:, 3 * idx + e], ROTATION_MONOMIALS)
+                     if k != 0.0 for coef, names in entry]
             constraints.append(Constraint(
-                sense="=", rhs=float(s[e]),
-                quad=[(v, k[0], k[1]) for k, v in quad.items() if v != 0.0],
-                lin=[(v, k) for k, v in lin.items() if v != 0.0],
+                sense="=", rhs=float(cloud.s[idx, e]),
+                quad=[(c, *names) for c, names in terms if len(names) == 2],
+                lin=[(1.0, f"{prefix}_{idx}_{e}")] + [(c, *names) for c, names in terms
+                                                      if len(names) == 1],
             ))
 
     for i in hat_ids:

@@ -19,9 +19,10 @@ QUAD_TOL = 1e-9
 # The entries of R = Rx Ry Rz, row-major, as sums of monomials in the eight
 # variables of the quadratic parameterization: u_i = cos and v_i = sin of
 # angle i, and the products w_gb = u_gamma * v_beta, w_bg = v_beta * v_gamma.
-# Each term is (coefficient, variable names). rotation_from_quad,
-# rotation_interval and the MIQCQP georeference constraints all read R from
-# this table.
+# Each term is (coefficient, variable names in sorted order). The 13 monomials
+# are distinct, so each occurs in exactly one entry: the MIQCQP georeference
+# constraints write one term per monomial without merging. rotation_from_quad,
+# rotation_interval and those constraints all read R from this table.
 ROTATION_MONOMIALS: list[list[tuple[float, tuple[str, ...]]]] = [
     [(1.0, ("u_beta", "u_gamma"))],
     [(-1.0, ("u_beta", "v_gamma"))],
@@ -30,7 +31,7 @@ ROTATION_MONOMIALS: list[list[tuple[float, tuple[str, ...]]]] = [
     [(1.0, ("u_alpha", "u_gamma")), (-1.0, ("v_alpha", "w_bg"))],
     [(-1.0, ("u_beta", "v_alpha"))],
     [(1.0, ("v_alpha", "v_gamma")), (-1.0, ("u_alpha", "w_gb"))],
-    [(1.0, ("v_alpha", "u_gamma")), (1.0, ("u_alpha", "w_bg"))],
+    [(1.0, ("u_gamma", "v_alpha")), (1.0, ("u_alpha", "w_bg"))],
     [(1.0, ("u_alpha", "u_beta"))],
 ]
 
@@ -130,25 +131,6 @@ class AngleBox:
         return rng.uniform(self.lows(), self.highs(), size=(n, 3))
 
 
-def _rotation(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    return np.array(
-        [
-            [cb * cg, -cb * sg, sb],
-            [ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -cb * sa],
-            [sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb],
-        ],
-        dtype=float,
-    )
-
-
-def rotation_from_angles(angles: EulerAngles) -> np.ndarray:
-    """3x3 rotation matrix for the given boresight angles."""
-    return _rotation(angles.alpha, angles.beta, angles.gamma)
-
-
 def rotation_matrices(alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Vectorized rotation matrices, shape (n, 3, 3)."""
     ca, sa = np.cos(alphas), np.sin(alphas)
@@ -165,6 +147,11 @@ def rotation_matrices(alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray)
     out[:, 2, 1] = sa * cg + ca * sb * sg
     out[:, 2, 2] = ca * cb
     return out
+
+
+def rotation_from_angles(angles: EulerAngles) -> np.ndarray:
+    """3x3 rotation matrix for the given boresight angles (rotation_matrices' one row)."""
+    return rotation_matrices(*angles.as_array()[:, None])[0]
 
 
 def rotation_jacobian(angles: EulerAngles) -> np.ndarray:

@@ -237,7 +237,3 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     assert best is not None
     return AgsResult(best=best, rounds=rounds, n_evals=n_evals, n_screened=n_screened)
 
-
-def ags(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> Evaluation:
-    """Best evaluation found by the adaptive grid search."""
-    return ags_run(hat, bar, cfg).best

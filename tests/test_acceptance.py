@@ -25,7 +25,7 @@ from boresight.rotation import (
     rotation_interval,
     rotation_matrices,
 )
-from boresight.search import AgsConfig, ags, evaluate_ub
+from boresight.search import AgsConfig, ags_run, evaluate_ub
 from boresight.spatial import gjk_min_sq_dist, max_vertex_sq_dist
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
@@ -185,7 +185,7 @@ def recovery_run():
     hat, bar, _ = synth_generate(200, 500, PLANTED, 0.0, seed=600)
     box = AngleBox.symmetric_deg(2.0)
     t0 = time.monotonic()
-    best = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5))
+    best = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
     t_ags = time.monotonic() - t0
     t0 = time.monotonic()
     report = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=0.1,
@@ -301,7 +301,7 @@ def test_criterion_10_w3_certificate_at_one_percent(capsys):
     hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=600)
     box = AngleBox.symmetric_deg(2.0)
     eps_rel = 0.01
-    best = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5))
+    best = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
     t0 = time.monotonic()
     report = nsbb_solve(hat, bar, box, eps_rel=eps_rel, eps_abs=1e-6, f_upper_init=best)
     t_nsbb = time.monotonic() - t0

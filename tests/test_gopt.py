@@ -1,12 +1,13 @@
 """Branch-and-bound driver: branching, node lower bounds and the solve loop."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from boresight import gopt
-from boresight.cloud import Cloud, synth_generate
+from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.gopt import (
     Node,
     branch,
@@ -184,6 +185,28 @@ class TestCoupledLowerBound:
             assert plain > 0.0
             assert shifted == pytest.approx(rounded, rel=1e-9)
             assert shifted == pytest.approx(plain, rel=1e-8)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 5e6, 0.0)], ids=["plain", "utm"])
+    def test_model_remainder_within_rho(self, noisy_scene, offset):
+        """Oracle for the pair model under the coupled bound, on every (i, j):
+        at the box midpoint, b is the georeferenced pair offset; at the corners
+        and at sampled d, the offset is within rho of b + A d."""
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in noisy_scene)
+        i = np.repeat(np.arange(len(hat)), len(bar))
+        j = np.tile(np.arange(len(bar)), len(hat))
+        p = PLANTED
+        rng = np.random.default_rng(0)
+        for box in (box_around(self.OFF_CENTRE, 0.02), AngleBox.symmetric_deg(0.5),
+                    AngleBox.symmetric_deg(2.0),
+                    AngleBox(p.alpha, p.alpha, p.beta, p.beta, p.gamma, p.gamma)):
+            b, A, rho = gopt._pair_model(hat, bar, i, j, box)
+            corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+            d = np.concatenate([corners, rng.uniform(-1.0, 1.0, (24, 3))]) * 0.5 * box.widths()
+            angles = box.midpoint().as_array() + np.concatenate([np.zeros((1, 3)), d])
+            g = georeference(hat, angles)[:, i] - georeference(bar, angles)[:, j]
+            assert np.linalg.norm(g[0] - b.reshape(-1, 3), axis=1).max() <= 1e-9
+            model = b.reshape(-1, 3) + (d @ A.T).reshape(len(d), -1, 3)
+            assert np.all(np.linalg.norm(g[1:] - model, axis=2) <= rho)
 
 
 class TestNsbbSolve:

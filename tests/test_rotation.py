@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boresight.rotation import (
+    ROTATION_MONOMIALS,
     AngleBox,
     EulerAngles,
     matrix_to_angles,
@@ -136,6 +137,13 @@ class TestRotationFromQuad:
                 math.cos(g) * math.sin(b), math.sin(b) * math.sin(g),
             )
             np.testing.assert_allclose(R, rotation_from_angles(EulerAngles(a, b, g)), atol=1e-12)
+
+    def test_monomials_distinct_and_sorted(self):
+        """The MIQCQP georeference rows write one term per monomial, unmerged,
+        with its variable names as the table lists them."""
+        monomials = [names for terms in ROTATION_MONOMIALS for _, names in terms]
+        assert len(monomials) == len(set(monomials)) == 13
+        assert all(names == tuple(sorted(names)) for names in monomials)
 
     def test_rejects_off_circle(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from boresight import search
 from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.rotation import AngleBox, EulerAngles
-from boresight.search import AgsConfig, ags, ags_run, evaluate_many, evaluate_ub
+from boresight.search import AgsConfig, ags_run, evaluate_many, evaluate_ub
 from boresight.spatial import NnIndex
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
@@ -299,7 +299,7 @@ class TestAgs:
     def test_recovers_planted_angles(self, small_scene):
         hat, bar, _ = small_scene
         box = AngleBox.symmetric_deg(2.0)
-        ev = ags(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5))
+        ev = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
         err = np.degrees(np.abs(ev.angles.as_array() - PLANTED.as_array()))
         assert np.all(err <= 0.05)
 
@@ -314,7 +314,7 @@ class TestAgs:
         box = AngleBox.symmetric_deg(2.0)
         prev = np.inf
         for rounds in (1, 2, 3, 4):
-            ev = ags(hat, bar, AgsConfig(n_d=4, t_max=60.0, box=box, max_rounds=rounds))
+            ev = ags_run(hat, bar, AgsConfig(n_d=4, t_max=60.0, box=box, max_rounds=rounds)).best
             assert ev.objective <= prev + 1e-15
             prev = ev.objective
 
@@ -329,7 +329,8 @@ class TestAgs:
 
     def test_objective_is_valid_upper_bound(self, small_scene):
         hat, bar, _ = small_scene
-        ev = ags(hat, bar, AgsConfig(n_d=3, t_max=10.0, box=AngleBox.symmetric_deg(2.0), max_rounds=2))
+        box = AngleBox.symmetric_deg(2.0)
+        ev = ags_run(hat, bar, AgsConfig(n_d=3, t_max=10.0, box=box, max_rounds=2)).best
         # feasibility: re-evaluating at the returned angles reproduces the value
         assert evaluate_ub(hat, bar, ev.angles).objective == pytest.approx(ev.objective, rel=1e-12)
 
