@@ -13,10 +13,10 @@ import numpy as np
 from .cloud import Cloud
 from .miqcqp import SolverError, external_lower_bound
 from .reduce import PairSet, reduce_pairs
-from .relax import POINT_SLACK, compute_pair_set
-from .rotation import AngleBox, rotation_from_angles, rotation_jacobian
+from .relax import _pair_model, compute_pair_set
+from .rotation import AngleBox
 from .search import Evaluation, evaluate_ub
-from .spatial import _cross
+from .spatial import _clipped_solve
 
 MIN_BOX_WIDTH = 1e-7  # radians; axes narrower than this are not split
 GAP_DENOM_EPS = 1e-9
@@ -64,31 +64,7 @@ def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarr
     free = _ACTIVE_SETS == 0
     M = np.where(free[:, :, None], H, np.eye(3))
     rhs = np.where(free, -g, np.where(_ACTIVE_SETS == 1, -hw, hw))
-    c12, c20, c01 = _cross(M[:, 1], M[:, 2]), _cross(M[:, 2], M[:, 0]), _cross(M[:, 0], M[:, 1])
-    det = np.einsum("ck,ck->c", M[:, 0], c12)
-    d = rhs[:, :1] * c12 + rhs[:, 1:2] * c20 + rhs[:, 2:] * c01
-    return np.clip(d / np.where(det != 0, det, 1.0)[:, None], -hw, hw)
-
-
-def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
-                box: AngleBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The offsets g_ij(c + d) = b + A d + e of pairs (i, j) around the box
-    midpoint c: b (3m,), A (3m, 3) and the bounds rho (m,) on ||e||.
-
-    vec([R(c), dR/dalpha, dR/dbeta, dR/dgamma]) times the difference of the
-    pairs' placement columns is added to the s-difference, formed first so
-    that UTM-scale positions cancel exactly. Every second partial of R
-    applied to l has norm at most ||l||, so ||e|| <= (sum_k hw_k)^2
-    (||l_i|| + ||l_j||) / 2, widened by POINT_SLACK for rounding.
-    """
-    mid = box.midpoint()
-    V = np.concatenate([rotation_from_angles(mid)[None], rotation_jacobian(mid)]).reshape(4, 9)
-    dK = hat.placement.reshape(9, -1, 3)[:, i] - bar.placement.reshape(9, -1, 3)[:, j]
-    g = V @ dK.reshape(9, -1)
-    b = (hat.s[i] - bar.s[j]).reshape(-1) + g[0]
-    rho = (0.5 * (0.5 * box.widths()).sum() ** 2
-           * (np.linalg.norm(hat.l[i], axis=1) + np.linalg.norm(bar.l[j], axis=1)) + POINT_SLACK)
-    return b, g[1:].T, rho
+    return _clipped_solve(M, rhs, hw)
 
 
 def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -> float:

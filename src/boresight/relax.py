@@ -13,14 +13,15 @@ points and all refined pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cloud import Cloud
 from .reduce import PairSet
-from .rotation import AngleBox, RotationInterval, rotation_interval
-from .spatial import _cross, hull_sq_dist_bounds
+from .rotation import (AngleBox, RotationInterval, rotation_from_angles, rotation_interval,
+                       rotation_jacobian)
+from .spatial import _clipped_solve, _cross, hull_sq_dist_bounds
 # single-pair bounds re-exported under this module, where bench/tracer.py wraps them
 from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as max_vertex_sq_dist
 
@@ -29,6 +30,9 @@ from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as m
 # polytopes are exact up to rounding and get a much smaller widening.
 CONTAIN_SLACK = 1e-6
 POINT_SLACK = 1e-9
+# Georeferenced pair offsets are off by at most 2 sqrt(3) ulps of max|s| (1.0
+# measured at UTM northings): the pair model's rounding slack allows this many.
+GEOREF_ULPS = 4
 # Points per polytope pass and pairs per lockstep GJK batch: fixed chunks bound
 # peak memory (512/1024 pairs or 64 points add 1.8/2.9/2.5 MB of peak RSS).
 POINT_CHUNK = 16
@@ -218,6 +222,54 @@ def _world_polytopes(cloud: Cloud, ids: np.ndarray, ri: RotationInterval):
             np.einsum("nij,nkj->nki", R, V - c[:, None]), nv == 1)
 
 
+def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
+                box: AngleBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets g_ij(c + d) = b + A d + e of pairs (i, j) around the box
+    midpoint c: b (3m,), A (3m, 3) and the bounds rho (m,) on ||e||.
+
+    vec([R(c), dR/dalpha, dR/dbeta, dR/dgamma]) times the difference of the
+    pairs' placement columns is added to the s-difference, formed first so
+    that UTM-scale positions cancel exactly. Every second partial of R
+    applied to l has norm at most ||l||, so ||e|| <= (sum_k hw_k)^2
+    (||l_i|| + ||l_j||) / 2, widened for rounding by POINT_SLACK or, at large
+    coordinates, GEOREF_ULPS ulps of max|s|.
+    """
+    mid = box.midpoint()
+    V = np.concatenate([rotation_from_angles(mid)[None], rotation_jacobian(mid)]).reshape(4, 9)
+    dK = hat.placement.reshape(9, -1, 3)[:, i] - bar.placement.reshape(9, -1, 3)[:, j]
+    g = V @ dK.reshape(9, -1)
+    b = (hat.s[i] - bar.s[j]).reshape(-1) + g[0]
+    slack = max(POINT_SLACK, GEOREF_ULPS * np.spacing(max(np.abs(hat.s).max(), np.abs(bar.s).max())))
+    rho = (0.5 * (0.5 * box.widths()).sum() ** 2
+           * (np.linalg.norm(hat.l[i], axis=1) + np.linalg.norm(bar.l[j], axis=1)) + slack)
+    return b, g[1:].T, rho
+
+
+def _model_c_lo(b: np.ndarray, A: np.ndarray, rho: np.ndarray, box: AngleBox) -> np.ndarray:
+    """Lower bounds on every pair's squared distance over the box from its
+    model (_pair_model): (max(||g0|| - sum_k ||J_k|| hw_k, sqrt(cut)) - rho)_+^2,
+    the cut being the larger convexity cut of ||g0 + J d||^2 at d = 0 and at
+    -J^-1 g0 clipped into the box (any d gives a valid cut, so a singular J may)."""
+    hw = 0.5 * box.widths()
+    g0, J = b.reshape(-1, 3), A.reshape(-1, 3, 3)
+    d = np.stack([np.zeros_like(g0), _clipped_solve(J, -g0, hw)])
+    r = g0 + (J @ d[..., None])[..., 0]
+    grad = 2.0 * (r[..., None, :] @ J)[..., 0, :]
+    q = np.max(_dot(r, r) - _dot(grad, d) - np.abs(grad) @ hw, axis=0)
+    norm_form = np.sqrt(_dot(g0, g0)) - np.linalg.norm(J, axis=1) @ hw
+    return np.maximum(0.0, np.maximum(norm_form, np.sqrt(np.maximum(q, 0.0))) - rho) ** 2
+
+
+def _model_pruned(hat: Cloud, bar: Cloud, box: AngleBox, pairs: PairSet,
+                  f_upper: float) -> PairSet | None:
+    """pairs with the pair model's bounds over the box if those alone prune it
+    (a hat point has no c_lo <= f_upper, or sum_i min_j c_lo > f_upper), else None."""
+    model_lo = _model_c_lo(*_pair_model(hat, bar, pairs.i, pairs.j, box), box)
+    model = replace(pairs, c_lo=np.minimum(np.maximum(model_lo, pairs.c_lo), pairs.c_hi))
+    low = model.min_c_lo_per_i()
+    return model if low.max() > f_upper or low.sum() > f_upper else None
+
+
 def compute_pair_set(
     hat: Cloud,
     bar: Cloud,
@@ -231,10 +283,13 @@ def compute_pair_set(
     pairs; exact polytope-distance bounds are then computed only where they
     could change a reduction decision. Passing an existing PairSet restricts
     the candidates and intersects the new bounds with the old ones, which
-    keeps bounds monotone for nested boxes.
+    keeps bounds monotone for nested boxes. A box that the pair model alone
+    prunes (_model_pruned) is returned with its bounds, before any polytope.
     """
     if pairs is None:
         pairs = PairSet.dense(len(hat), len(bar))
+    elif (pruned := _model_pruned(hat, bar, box, pairs, f_upper)) is not None:
+        return pruned
     ri = rotation_interval(box)
     hat_ids, i_arr = np.unique(pairs.i, return_inverse=True)  # i_arr, j_arr index the ids
     bar_ids, j_arr = np.unique(pairs.j, return_inverse=True)

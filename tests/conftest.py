@@ -38,6 +38,13 @@ def small_scene(planted_angles):
 
 
 @pytest.fixture(scope="session")
+def noisy_scene(planted_angles):
+    """The noisy 10x20 scene (hat, bar) of the node-bound oracles."""
+    hat, bar, _ = synth_generate(10, 20, planted_angles, 0.02, seed=3)
+    return hat, bar
+
+
+@pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

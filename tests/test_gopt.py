@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from boresight import gopt
+from boresight import gopt, relax
 from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.gopt import (
     Node,
@@ -21,7 +21,7 @@ from boresight.miqcqp import SolverError
 from boresight.reduce import PairSet, reduce_pairs
 from boresight.relax import compute_pair_set
 from boresight.rotation import AngleBox, EulerAngles
-from boresight.search import evaluate_ub
+from boresight.search import AgsConfig, ags_run, evaluate_many, evaluate_ub
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
@@ -110,12 +110,6 @@ def grid_min(hat, bar, box: AngleBox, n: int = 7) -> float:
                for a in axes[0] for b in axes[1] for g in axes[2])
 
 
-@pytest.fixture(scope="module")
-def noisy_scene():
-    hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=3)
-    return hat, bar
-
-
 class TestCoupledLowerBound:
     """Grid oracle: wherever the box holds an angle whose objective is at or
     below the upper bound the pairs were reduced with, the coupled bound is
@@ -166,10 +160,12 @@ class TestCoupledLowerBound:
         box = AngleBox.symmetric_deg(0.01)
         assert coupled_lower_bound(ps, box, hat, bar) == builtin_lower_bound(ps) == 1.25
 
-    def test_utm_offset_invariance(self, noisy_scene):
-        """Adding (5e5, 5e6, 0) rounds s by up to 4.7e-10 m; the bound on the
-        shifted clouds equals the bound on clouds carrying that same rounding,
-        and differs from the unshifted one only by what the rounding moves."""
+    def test_utm_offset_invariance(self, noisy_scene, monkeypatch):
+        """Adding (5e5, 5e6, 0) rounds s by up to 4.7e-10 m. With the model's
+        rounding slack held at POINT_SLACK, the bound on the shifted clouds
+        equals the bound on clouds carrying that same rounding, and differs
+        from the unshifted one only by what the rounding moves. The slack that
+        grows with |s| (GEOREF_ULPS) only lowers it, by < 1e-6 relative."""
         hat, bar = noisy_scene
         offset = np.array([5e5, 5e6, 0.0])
 
@@ -180,17 +176,24 @@ class TestCoupledLowerBound:
                     box_around(PLANTED.as_array(), 0.1)):
             pairs, _ = self.reduced(hat, bar, box)
             plain = coupled_lower_bound(pairs, box, hat, bar)
-            shifted = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
-            rounded = coupled_lower_bound(pairs, box, moved(hat, offset), moved(bar, offset))
+            widened = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
+            with monkeypatch.context() as m:
+                m.setattr(relax, "GEOREF_ULPS", 0)
+                shifted = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
+                rounded = coupled_lower_bound(pairs, box, moved(hat, offset), moved(bar, offset))
             assert plain > 0.0
             assert shifted == pytest.approx(rounded, rel=1e-9)
             assert shifted == pytest.approx(plain, rel=1e-8)
+            assert widened <= shifted and widened == pytest.approx(plain, rel=1e-6)
 
-    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 5e6, 0.0)], ids=["plain", "utm"])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 5e6, 0.0), (5e5, 9.9e6, 0.0)],
+                             ids=["plain", "utm", "utm_south"])
     def test_model_remainder_within_rho(self, noisy_scene, offset):
         """Oracle for the pair model under the coupled bound, on every (i, j):
-        at the box midpoint, b is the georeferenced pair offset; at the corners
-        and at sampled d, the offset is within rho of b + A d."""
+        at the box midpoint, b is within rho of the georeferenced pair offset
+        (on the degenerate box rho is the rounding slack alone, which at the
+        southern-hemisphere northing 9.9e6 m must cover ulps of 1.9e-9 m); at
+        the corners and at sampled d, the offset is within rho of b + A d."""
         hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in noisy_scene)
         i = np.repeat(np.arange(len(hat)), len(bar))
         j = np.tile(np.arange(len(bar)), len(hat))
@@ -199,12 +202,12 @@ class TestCoupledLowerBound:
         for box in (box_around(self.OFF_CENTRE, 0.02), AngleBox.symmetric_deg(0.5),
                     AngleBox.symmetric_deg(2.0),
                     AngleBox(p.alpha, p.alpha, p.beta, p.beta, p.gamma, p.gamma)):
-            b, A, rho = gopt._pair_model(hat, bar, i, j, box)
+            b, A, rho = relax._pair_model(hat, bar, i, j, box)
             corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
             d = np.concatenate([corners, rng.uniform(-1.0, 1.0, (24, 3))]) * 0.5 * box.widths()
             angles = box.midpoint().as_array() + np.concatenate([np.zeros((1, 3)), d])
             g = georeference(hat, angles)[:, i] - georeference(bar, angles)[:, j]
-            assert np.linalg.norm(g[0] - b.reshape(-1, 3), axis=1).max() <= 1e-9
+            assert np.all(np.linalg.norm(g[0] - b.reshape(-1, 3), axis=1) <= rho)
             model = b.reshape(-1, 3) + (d @ A.T).reshape(len(d), -1, 3)
             assert np.all(np.linalg.norm(g[1:] - model, axis=2) <= rho)
 
@@ -358,3 +361,56 @@ def test_relative_gap_denominator_floor():
     assert relative_gap(0.0, 0.0) == 0.0
     assert relative_gap(1.0, 0.5) == pytest.approx(0.5)
     assert relative_gap(1e-12, 0.0) == pytest.approx(1e-12 / 1e-9)
+
+
+class TestModelPruneStage:
+    """The pair-model stage of compute_pair_set (relax._model_pruned) only
+    skips work: with it switched off, a solve explores, bounds and prunes
+    the same boxes, and no box it returns early holds an angle at or below
+    the f_upper it was given."""
+
+    SOLVES = {"30x60_6_nodes": (30, 60, 4, 6, 1e-4), "W3": (10, 20, 600, None, 1e-6)}
+
+    @pytest.fixture(scope="class", params=list(SOLVES))
+    def solves(self, request):
+        n_hat, n_bar, seed, max_nodes, eps_abs = self.SOLVES[request.param]
+        hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
+        box = AngleBox.symmetric_deg(2.0)
+        warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
+        stage, early, reports = relax._model_pruned, [], {}
+
+        def recording(hat, bar, box, pairs, f_upper):
+            out = stage(hat, bar, box, pairs, f_upper)
+            if out is not None:
+                early.append((box, f_upper))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, fn in (("off", lambda *args: None), ("on", recording)):
+                mp.setattr(relax, "_model_pruned", fn)
+                reports[name] = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=eps_abs,
+                                           f_upper_init=warm, max_nodes=max_nodes)
+        return hat, bar, reports, early
+
+    def test_same_search_with_the_stage_off(self, solves):
+        _, _, rep, early = solves
+        off, on = rep["off"], rep["on"]
+
+        def pruned(r):
+            return sorted(tuple(b.lows()) + tuple(b.highs()) for b, _ in r.prune_log)
+
+        assert len(early) > 0
+        assert on.nodes_explored == off.nodes_explored > 0
+        assert on.f_lower == off.f_lower and on.f_upper == off.f_upper
+        assert on.bound_log == off.bound_log
+        assert pruned(on) == pruned(off)
+        assert (on.nodes_pruned_bound + on.nodes_pruned_infeasible
+                == off.nodes_pruned_bound + off.nodes_pruned_infeasible)
+
+    def test_early_boxes_exceed_f_upper_on_a_grid(self, solves):
+        hat, bar, _, early = solves
+        for box, f_upper in early:
+            axes = [np.linspace(lo, hi, 7) for lo, hi in zip(box.lows(), box.highs())]
+            # evaluate_ub's values, row for row (its one-row case)
+            objectives, _ = evaluate_many(hat, bar, np.array(list(itertools.product(*axes))))
+            assert objectives.min() > f_upper

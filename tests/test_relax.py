@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from boresight import relax
-from boresight.cloud import Cloud, synth_generate
+from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.gopt import nsbb_solve
 from boresight.reduce import PairSet
 from boresight.relax import (
@@ -216,6 +216,38 @@ class TestComputePairSet:
             d2 = np.einsum("ijk,ijk->ij", d, d)
             assert np.all(d2 >= lo - 1e-6)
             assert np.all(d2 <= hi + 1e-6)
+
+
+class TestPairModelBounds:
+    """Grid oracle for the pair model's lower bounds, on every (i, j) of the
+    noisy scene: no c_lo exceeds the least georeferenced squared distance of
+    its pair over a 7^3 grid of the box, also at a southern UTM northing."""
+
+    OFF_CENTRE = PLANTED.as_array() + np.radians([0.05, -0.03, 0.04])
+    BOXES = {
+        "off_centre": AngleBox.from_arrays(OFF_CENTRE - math.radians(0.02),
+                                           OFF_CENTRE + math.radians(0.02)),
+        "wide": AngleBox.symmetric_deg(2.0),
+        "narrow": AngleBox.from_arrays(PLANTED.as_array() - math.radians(0.005),
+                                       PLANTED.as_array() + math.radians(0.005)),
+        "degenerate": degenerate_box(EulerAngles(*OFF_CENTRE)),
+    }
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 9.9e6, 0.0)],
+                             ids=["plain", "utm_south"])
+    @pytest.mark.parametrize("name", list(BOXES))
+    def test_never_exceeds_grid_minimum(self, noisy_scene, offset, name):
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in noisy_scene)
+        box = self.BOXES[name]
+        i = np.repeat(np.arange(len(hat)), len(bar))
+        j = np.tile(np.arange(len(bar)), len(hat))
+        c_lo = relax._model_c_lo(*relax._pair_model(hat, bar, i, j, box), box)
+        axes = [np.linspace(lo, hi, 7) for lo, hi in zip(box.lows(), box.highs())]
+        grid = np.array(list(itertools.product(*axes)))
+        d = georeference(hat, grid)[:, i] - georeference(bar, grid)[:, j]
+        grid_min = np.einsum("gpc,gpc->gp", d, d).min(axis=0)
+        assert c_lo.max() > 0.0
+        assert np.all(c_lo <= grid_min)
 
 
 def greedy_dedup(pts, tol):
