@@ -263,11 +263,11 @@ def _model_c_lo(b: np.ndarray, A: np.ndarray, rho: np.ndarray, box: AngleBox) ->
 def _model_pruned(hat: Cloud, bar: Cloud, box: AngleBox, pairs: PairSet,
                   f_upper: float) -> PairSet | None:
     """pairs with the pair model's bounds over the box if those alone prune it
-    (a hat point has no c_lo <= f_upper, or sum_i min_j c_lo > f_upper), else None."""
+    (sum_i min_j c_lo > f_upper, as when a point has no c_lo <= f_upper), else None."""
     model_lo = _model_c_lo(*_pair_model(hat, bar, pairs.i, pairs.j, box), box)
     model = replace(pairs, c_lo=np.minimum(np.maximum(model_lo, pairs.c_lo), pairs.c_hi))
     low = model.min_c_lo_per_i()
-    return model if low.max() > f_upper or low.sum() > f_upper else None
+    return model if low.sum() > f_upper else None
 
 
 def compute_pair_set(

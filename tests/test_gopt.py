@@ -186,14 +186,17 @@ class TestCoupledLowerBound:
             assert shifted == pytest.approx(plain, rel=1e-8)
             assert widened <= shifted and widened == pytest.approx(plain, rel=1e-6)
 
-    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 5e6, 0.0), (5e5, 9.9e6, 0.0)],
+    @pytest.mark.parametrize("offset, slack",
+                             [((0.0, 0.0, 0.0), 1e-9), ((5e5, 5e6, 0.0), 1e-9),
+                              ((5e5, 9.9e6, 0.0), relax.GEOREF_ULPS * np.spacing(9.9e6))],
                              ids=["plain", "utm", "utm_south"])
-    def test_model_remainder_within_rho(self, noisy_scene, offset):
+    def test_model_remainder_within_rho(self, noisy_scene, offset, slack):
         """Oracle for the pair model under the coupled bound, on every (i, j):
-        at the box midpoint, b is within rho of the georeferenced pair offset
-        (on the degenerate box rho is the rounding slack alone, which at the
-        southern-hemisphere northing 9.9e6 m must cover ulps of 1.9e-9 m); at
-        the corners and at sampled d, the offset is within rho of b + A d."""
+        at the box midpoint, b is within 1e-9 m of the georeferenced pair
+        offset on every box (at the southern-hemisphere northing 9.9e6 m,
+        where an ulp is 1.9e-9 m, within the model's rounding slack of
+        GEOREF_ULPS ulps); at the corners and at sampled d, the offset is
+        within rho of b + A d."""
         hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in noisy_scene)
         i = np.repeat(np.arange(len(hat)), len(bar))
         j = np.tile(np.arange(len(bar)), len(hat))
@@ -207,7 +210,7 @@ class TestCoupledLowerBound:
             d = np.concatenate([corners, rng.uniform(-1.0, 1.0, (24, 3))]) * 0.5 * box.widths()
             angles = box.midpoint().as_array() + np.concatenate([np.zeros((1, 3)), d])
             g = georeference(hat, angles)[:, i] - georeference(bar, angles)[:, j]
-            assert np.all(np.linalg.norm(g[0] - b.reshape(-1, 3), axis=1) <= rho)
+            assert np.all(np.linalg.norm(g[0] - b.reshape(-1, 3), axis=1) <= slack)
             model = b.reshape(-1, 3) + (d @ A.T).reshape(len(d), -1, 3)
             assert np.all(np.linalg.norm(g[1:] - model, axis=2) <= rho)
 
@@ -364,10 +367,11 @@ def test_relative_gap_denominator_floor():
 
 
 class TestModelPruneStage:
-    """The pair-model stage of compute_pair_set (relax._model_pruned) only
-    skips work: with it switched off, a solve explores, bounds and prunes
-    the same boxes, and no box it returns early holds an angle at or below
-    the f_upper it was given."""
+    """The pair-model stage of compute_pair_set (relax._model_pruned) prunes
+    only with valid bounds: no box it returns early holds an angle at or below
+    the f_upper it was given. It may prune a box the polytopes would have kept
+    (one pair's model bound can be the tighter); on these two solves it does
+    not, and with it switched off they explore, bound and prune the same boxes."""
 
     SOLVES = {"30x60_6_nodes": (30, 60, 4, 6, 1e-4), "W3": (10, 20, 600, None, 1e-6)}
 
