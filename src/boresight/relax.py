@@ -4,10 +4,11 @@ For a scanner-frame return l and an angle box, the reachable set
 {R(angles) @ l} lies on the sphere of radius ||l||. Its convex enclosure is
 the interval box K from the rotation enclosure, intersected with sphere
 tangent cuts (from above) and the box secant of the norm equality (from
-below). Pair bounds over the box follow from polytope-to-polytope distances.
+below). Pair bounds over the box follow from polytope-to-polytope distances;
+the dense root set is bounded from each pair's linearised model instead.
 
 compute_pair_set works per box, in vectorised passes over fixed chunks of all
-points and all refined pairs.
+points and all pairs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ GEOREF_ULPS = 4
 # peak memory (512/1024 pairs or 64 points add 1.8/2.9/2.5 MB of peak RSS).
 POINT_CHUNK = 16
 PAIR_CHUNK = 256
+# Pairs per pass of the pair model over the dense root set: on a 100x250 root
+# box (2-vCPU VM) 1024 took 52 ms where PAIR_CHUNK took 70, for 0.2 MB more
+# peak memory.
+MODEL_CHUNK = 1024
 
 _VERTEX_DEDUP = 1e-9
 _FEAS_TOL = 5e-10
@@ -260,6 +265,26 @@ def _model_c_lo(b: np.ndarray, A: np.ndarray, rho: np.ndarray, box: AngleBox) ->
     return np.maximum(0.0, np.maximum(norm_form, np.sqrt(np.maximum(q, 0.0))) - rho) ** 2
 
 
+def _model_c_hi(b: np.ndarray, A: np.ndarray, rho: np.ndarray, box: AngleBox) -> np.ndarray:
+    """Upper bounds on every pair's squared distance over the box from its
+    model: (max over the 8 box corners of ||g0 + J d|| + rho)^2, the norm
+    being convex in d."""
+    corners = np.where(_CORNERS, 0.5, -0.5) * box.widths()
+    r = b.reshape(-1, 3, 1) + A.reshape(-1, 3, 3) @ corners.T
+    return (np.sqrt(np.max(np.sum(r * r, axis=1), axis=1)) + rho) ** 2
+
+
+def _model_pair_set(hat: Cloud, bar: Cloud, box: AngleBox) -> PairSet:
+    """The dense pair set with every pair's model bounds over the box, formed
+    in chunks of MODEL_CHUNK pairs."""
+    out = PairSet.dense(len(hat), len(bar))
+    for s in _chunks(out.size, MODEL_CHUNK):
+        model = _pair_model(hat, bar, out.i[s], out.j[s], box)
+        out.c_hi[s] = _model_c_hi(*model, box)
+        out.c_lo[s] = np.minimum(_model_c_lo(*model, box), out.c_hi[s])
+    return out
+
+
 def _model_pruned(hat: Cloud, bar: Cloud, box: AngleBox, pairs: PairSet,
                   f_upper: float) -> PairSet | None:
     """pairs with the pair model's bounds over the box if those alone prune it
@@ -279,16 +304,17 @@ def compute_pair_set(
 ) -> PairSet:
     """Bounds over the box for every candidate pair, vectorized.
 
-    Cheap enclosing-ball and directional-extent bounds are computed for all
-    pairs; exact polytope-distance bounds are then computed only where they
-    could change a reduction decision. Passing an existing PairSet restricts
-    the candidates and intersects the new bounds with the old ones, which
-    keeps bounds monotone for nested boxes. A box that the pair model alone
-    prunes (_model_pruned) is returned with its bounds, before any polytope.
+    Without pairs, every pair gets its pair model's bounds (_model_pair_set).
+    An existing PairSet restricts the candidates, and the new bounds are
+    intersected with the old ones, which keeps bounds monotone for nested
+    boxes. A box that the pair model alone prunes (_model_pruned) is returned
+    with its bounds; otherwise cheap enclosing-ball and directional-extent
+    bounds are computed for all pairs, and exact polytope-distance bounds only
+    where they could change a reduction decision.
     """
     if pairs is None:
-        pairs = PairSet.dense(len(hat), len(bar))
-    elif (pruned := _model_pruned(hat, bar, box, pairs, f_upper)) is not None:
+        return _model_pair_set(hat, bar, box)
+    if (pruned := _model_pruned(hat, bar, box, pairs, f_upper)) is not None:
         return pruned
     ri = rotation_interval(box)
     hat_ids, i_arr = np.unique(pairs.i, return_inverse=True)  # i_arr, j_arr index the ids
@@ -298,14 +324,17 @@ def compute_pair_set(
 
     delta = bc[j_arr] - hc[i_arr]
     d = np.linalg.norm(delta, axis=1)
-    rr = hr[i_arr] + br[j_arr]
+    # single-point pairs (degenerate boxes) keep their ball bounds, widened
+    # for the rounding of the centres
+    point = h_point[i_arr] & b_point[j_arr]
+    rr = hr[i_arr] + br[j_arr] + np.where(point, POINT_SLACK, 0.0)
     c_lo = np.maximum(0.0, d - rr) ** 2
     c_hi = (d + rr) ** 2
     # tighter lower bound from directional extents along the center line:
     # separation >= center distance minus each polytope's support toward the
     # other (exact for the projection onto that direction)
     for s in _chunks(d.size, PAIR_CHUNK):
-        pos = d[s] > 1e-12
+        pos = (d[s] > 1e-12) & ~point[s]
         u = delta[s] / np.where(pos, d[s], 1.0)[:, None]
         ext_h = np.einsum("pkd,pd->pk", hv[i_arr[s]], u).max(axis=1)
         ext_b = np.einsum("pkd,pd->pk", bv[j_arr[s]], -u).max(axis=1)
@@ -316,14 +345,13 @@ def compute_pair_set(
 
     m = np.full(hat_ids.size, np.inf)
     np.minimum.at(m, i_arr, c_hi)
-    refine = np.flatnonzero((c_lo <= f_upper) & (c_lo <= m[i_arr]) & (c_hi - c_lo > POINT_SLACK))
+    refine = np.flatnonzero((c_lo <= f_upper) & (c_lo <= m[i_arr]) & ~point)
     for s in _chunks(refine.size, PAIR_CHUNK):
         p = refine[s]
         i, j = i_arr[p], j_arr[p]
         # both hulls relative to the hat polytope's centre
         lo, hi = hull_sq_dist_bounds(hv[i], bv[j] + delta[p, None])
-        slack = np.where(h_point[i] & b_point[j], POINT_SLACK, CONTAIN_SLACK)
-        c_lo[p] = np.maximum(c_lo[p], np.maximum(0.0, lo - slack))
-        c_hi[p] = np.minimum(c_hi[p], hi + slack)
+        c_lo[p] = np.maximum(c_lo[p], np.maximum(0.0, lo - CONTAIN_SLACK))
+        c_hi[p] = np.minimum(c_hi[p], hi + CONTAIN_SLACK)
     c_lo = np.minimum(c_lo, c_hi)
     return PairSet(n_hat=pairs.n_hat, i=pairs.i.copy(), j=pairs.j.copy(), c_lo=c_lo, c_hi=c_hi)

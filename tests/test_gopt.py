@@ -418,3 +418,30 @@ class TestModelPruneStage:
             # evaluate_ub's values, row for row (its one-row case)
             objectives, _ = evaluate_many(hat, bar, np.array(list(itertools.product(*axes))))
             assert objectives.min() > f_upper
+
+
+@pytest.mark.parametrize("name", list(TestModelPruneStage.SOLVES))
+def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
+    """The root's dense set is bounded from the pair model alone
+    (relax._model_pair_set). Those bounds are valid, but they differ from the
+    polytope path's, so an equal search is not guaranteed; on these two solves
+    the root on the polytope path (an explicit dense set) explores and bounds
+    the same boxes."""
+    n_hat, n_bar, seed, max_nodes, eps_abs = TestModelPruneStage.SOLVES[name]
+    hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
+    box = AngleBox.symmetric_deg(2.0)
+    warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
+    kwargs = dict(eps_rel=0.01, eps_abs=eps_abs, f_upper_init=warm, max_nodes=max_nodes)
+    model = nsbb_solve(hat, bar, box, **kwargs)
+    roots = []
+
+    def polytope_root(hat, bar, box):
+        roots.append(box)
+        return compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
+
+    monkeypatch.setattr(relax, "_model_pair_set", polytope_root)
+    polytope = nsbb_solve(hat, bar, box, **kwargs)
+    assert roots == [box]
+    assert model.nodes_explored == polytope.nodes_explored > 0
+    assert model.f_lower == polytope.f_lower and model.f_upper == polytope.f_upper
+    assert model.bound_log == polytope.bound_log

@@ -183,7 +183,7 @@ class TestComputePairSet:
         # enclosing-ball bounds: never tighter than the exact polytope bounds
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(2.0)
-        ps = compute_pair_set(hat, bar, box)
+        ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         rng = np.random.default_rng(0)
         for k in rng.choice(ps.size, 50, replace=False):
             i, j = int(ps.i[k]), int(ps.j[k])
@@ -217,6 +217,19 @@ class TestComputePairSet:
             assert np.all(d2 >= lo - 1e-6)
             assert np.all(d2 <= hi + 1e-6)
 
+    @pytest.mark.parametrize("root", [True, False], ids=["model_root", "polytope"])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_degenerate_boxes_bracket_the_georeferenced_distance(self, seed, root):
+        """On a single angle, every pair's bounds hold its georeferenced squared
+        distance, though the bounds' positions round differently."""
+        hat, bar, _ = synth_generate(10, 20, PLANTED, 0.02, seed=seed)
+        pairs = None if root else PairSet.dense(len(hat), len(bar))
+        for angles in np.random.default_rng(seed).uniform(-0.035, 0.035, size=(5, 3)):
+            ps = compute_pair_set(hat, bar, degenerate_box(EulerAngles(*angles)), pairs)
+            d = georeference(hat, angles[None])[0, ps.i] - georeference(bar, angles[None])[0, ps.j]
+            d2 = np.einsum("pc,pc->p", d, d)
+            assert np.all((ps.c_lo <= d2) & (d2 <= ps.c_hi))
+
 
 class TestPairModelBounds:
     """Grid oracle for the pair model's lower bounds, on every (i, j) of the
@@ -248,6 +261,41 @@ class TestPairModelBounds:
         grid_min = np.einsum("gpc,gpc->gp", d, d).min(axis=0)
         assert c_lo.max() > 0.0
         assert np.all(c_lo <= grid_min)
+
+
+class TestRootModelBounds:
+    """Grid oracle for the root's bounds (compute_pair_set without pairs, from
+    the pair model alone), on every (i, j) of a noisy 10x20 and a noisy 30x60
+    scene: c_lo is at most and c_hi at least the georeferenced squared distance
+    at every point of a 9^3 grid of the box, also at a southern UTM northing."""
+
+    CENTRE = PLANTED.as_array()
+    BOXES = {
+        "wide": AngleBox.symmetric_deg(2.0),
+        "off_centre": TestPairModelBounds.BOXES["off_centre"],
+        "tiny": AngleBox.from_arrays(CENTRE - math.radians(0.001), CENTRE + math.radians(0.001)),
+        "degenerate": TestPairModelBounds.BOXES["degenerate"],
+    }
+
+    @pytest.fixture(scope="class", params=[(10, 20, 3), (30, 60, 4)], ids=["10x20", "30x60"])
+    def scene(self, request):
+        hat, bar, _ = synth_generate(*request.param[:2], PLANTED, 0.02, seed=request.param[2])
+        return hat, bar
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 9.9e6, 0.0)],
+                             ids=["plain", "utm_south"])
+    @pytest.mark.parametrize("name", list(BOXES))
+    def test_brackets_the_grid(self, scene, offset, name):
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in scene)
+        box = self.BOXES[name]
+        ps = compute_pair_set(hat, bar, box)
+        axes = [np.linspace(lo, hi, 9) for lo, hi in zip(box.lows(), box.highs())]
+        grid = np.array(list(itertools.product(*axes)))
+        d = georeference(hat, grid)[:, ps.i] - georeference(bar, grid)[:, ps.j]
+        d2 = np.einsum("gpc,gpc->gp", d, d)
+        assert ps.size == len(hat) * len(bar)
+        assert np.all(ps.c_lo <= d2.min(axis=0))
+        assert np.all(ps.c_hi >= d2.max(axis=0))
 
 
 def greedy_dedup(pts, tol):
@@ -303,8 +351,9 @@ class TestBatchedPolytopes:
 
         monkeypatch.setattr(relax, "_vertices", recording)
         for half in (2.0, 0.1, 0.0):
-            compute_pair_set(hat, bar, AngleBox.from_arrays(PLANTED.as_array() - math.radians(half),
-                                                            PLANTED.as_array() + math.radians(half)))
+            box = AngleBox.from_arrays(PLANTED.as_array() - math.radians(half),
+                                       PLANTED.as_array() + math.radians(half))
+            compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         assert batches and min(batches) > 0
 
     def test_points_left_without_vertices_fall_back_to_the_box(self, monkeypatch):
@@ -435,13 +484,13 @@ class TestChunkedPairSet:
             return kernel(A, B)
 
         monkeypatch.setattr(relax, "hull_sq_dist_bounds", counting)
-        ps = compute_pair_set(hat, bar, box)
+        ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         chunked = len(batches)
         assert sum(batches) > PAIR_CHUNK and chunked >= 2
         # chunking changes no bound: one chunk for all points and pairs agrees
         monkeypatch.setattr(relax, "POINT_CHUNK", 10**6)
         monkeypatch.setattr(relax, "PAIR_CHUNK", 10**6)
-        whole = compute_pair_set(hat, bar, box)
+        whole = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         assert len(batches) == chunked + 1
         np.testing.assert_allclose(ps.c_lo, whole.c_lo, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(ps.c_hi, whole.c_hi, rtol=1e-12, atol=1e-15)
