@@ -167,7 +167,7 @@ def nsbb_solve(
     node_lower_bound), then prune or enqueue it. A popped node is bisected
     into up to 8 children, all evaluated before any is pruned. Terminates when
     the relative or absolute bound gap closes, the queue empties, or a
-    node/time budget is hit.
+    node/time budget (checked before the root box and each child box) is hit.
     """
     if len(hat) == 0 or len(bar) == 0:
         raise SolverError("clouds must be non-empty")
@@ -254,8 +254,10 @@ def nsbb_solve(
             reason = raise_f_lower()
             continue
         rep.nodes_explored += 1
-        # every child updates the incumbent before any of them is pruned
-        children = [bound(b, evaluate_midpoint(b), node.pairs, node.lower)
+        # every child updates the incumbent before any is pruned; once time is up the
+        # rest are queued with the parent's pairs and bound (valid: each lies inside it)
+        children = [Node(b, node.pairs, node.lower) if out_of_time()
+                    else bound(b, evaluate_midpoint(b), node.pairs, node.lower)
                     for b in branch(node.box)]
         for child in children:
             push_or_prune(child)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -250,6 +251,25 @@ class TestNsbbSolve:
         assert rep.f_lower == 0.0 and rep.f_upper > 1e-6
         assert rep.pairs_root == 0 and rep.nodes_explored == 0
         assert rep.bound_log == [(0.0, rep.f_upper)]
+
+    def test_time_limit_checked_between_child_boxes(self, noisy_scene, monkeypatch):
+        """Child pair sets that take 0.1 s each: the solve ends within the limit
+        plus one child, and the children left unbounded keep a valid bound."""
+        hat, bar = noisy_scene
+        real, pause, limit = gopt.compute_pair_set, 0.1, 0.25
+
+        def slow_pair_set(*args, **kwargs):
+            time.sleep(pause)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gopt, "compute_pair_set", slow_pair_set)
+        t0 = time.monotonic()
+        rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_rel=1e-9, eps_abs=1e-12,
+                         time_limit=limit)
+        elapsed = time.monotonic() - t0
+        assert elapsed < limit + pause + 0.1
+        assert rep.converged_by == "time_limit" and rep.nodes_explored == 1
+        assert rep.f_lower <= evaluate_ub(hat, bar, PLANTED).objective
 
     def test_huge_tolerance_returns_root_bounds(self, tiny_scene):
         hat, bar, _ = tiny_scene

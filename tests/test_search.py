@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from boresight import search
-from boresight.cloud import Cloud, georeference, synth_generate
+from boresight.cloud import Cloud, decimate, georeference, synth_generate
 from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import AgsConfig, ags_run, evaluate_many, evaluate_ub
 from boresight.spatial import NnIndex
@@ -173,45 +173,65 @@ class TestScreen:
         assert screened.best.angles == full.best.angles
         assert np.array_equal(screened.best.assignment, full.best.assignment)
 
-    def test_screened_out_cells_cannot_win(self, screen_calls):
-        """Every cell whose sampled bound is at most the incumbent is evaluated in
-        full, and every cell left out is worse than the incumbent. The lifted
-        sample makes the bound nearly tight, so a looser one would miss cells."""
+    def test_screened_out_cells_cannot_win(self, screen_calls, monkeypatch):
+        """Every cell whose block or sampled bound is at most the incumbent is
+        screened or evaluated in full, and every cell left out is worse than the
+        incumbent. The lifted sample makes the bound nearly tight, so a looser
+        one would miss cells."""
         hat, bar = screen_scene(0.02, lift=1.0)
-        calls = screen_calls
+        calls, real, blocks = screen_calls, search._block_bounds, []
+
+        def recording(sample, b, centers, n_d):
+            bounds = real(sample, b, centers, n_d)
+            blocks.append((centers.copy(), bounds))
+            return bounds
+
+        monkeypatch.setattr(search, "_block_bounds", recording)
         res = ags_run(hat, bar, AgsConfig(n_d=6, t_max=120.0, box=AngleBox.symmetric_deg(2.0),
                                           max_rounds=2))
+        block = {tuple(a): v for centers, bounds in blocks for a, v in zip(centers, bounds)}
         low = {tuple(a): v for n, angles, values in calls if n < len(hat)
                for a, v in zip(angles, values)}
         full = {tuple(a) for n, angles, _ in calls if n == len(hat) for a in angles}
-        assert len(low) == 2 * 6**3 and len(full) == res.n_evals
-        out = set(low) - full
-        assert len(out) == res.n_screened > 0
-        assert all(low[a] > res.best.objective for a in out)
-        assert all(v <= evaluate_ub(hat, bar, EulerAngles(*a)).objective for a, v in low.items())
+        assert len(block) == 2 * 6**3 and len(full) == res.n_evals
+        assert set(low) <= set(block) and full <= set(block)
+        out = set(block) - full
+        assert len(out) == res.n_screened > len(set(low) - full) > 0
+        assert all(low[a] > res.best.objective for a in set(low) - full)
+        assert all(v <= evaluate_ub(hat, bar, EulerAngles(*a)).objective
+                   for bounds in (block, low) for a, v in bounds.items())
         assert [a for a in out if evaluate_ub(hat, bar, EulerAngles(*a)).objective
                 <= res.best.objective] == []
         assert [a for a, v in low.items() if v <= res.best.objective and a not in full] == []
+        assert [a for a, v in block.items()
+                if v <= res.best.objective and a not in low and a not in full] == []
 
     def test_round_that_rules_nothing_out_stops_screening(self, screen_calls):
-        """On a ±0.016° box around the planted angles no sampled bound exceeds the
-        first round's incumbent: the second round screens one batch, then
-        evaluates all its cells in full."""
+        """On a ±0.016° box around the planted angles no bound exceeds the first
+        round's incumbent. The first round screens every cell and evaluates each
+        screen batch's lowest cell in full as it goes; its block stage rules
+        nothing out, so the second round screens one batch, then evaluates all
+        its cells in full."""
         hat, bar = screen_scene(0.02)
         half = np.radians(0.016)
         box = AngleBox.from_arrays(PLANTED.as_array() - half, PLANTED.as_array() + half)
         res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=2))
         passes = [(n < len(hat), sum(len(a) for _, a, _ in calls))
                   for n, calls in itertools.groupby(screen_calls, key=lambda c: c[0])]
-        assert [screen for screen, _ in passes] == [True, False, True, False]
-        assert passes[0][1] == 1000 and passes[2][1] < 100 and passes[3][1] == 1000
+        *first, second_screen, second_full = passes
+        assert [screen for screen, _ in first] == [True, False] * (len(first) // 2)
+        assert all(n == 1 for _, n in first[1:-1:2])
+        assert sum(n for screen, n in first if screen) == 1000
+        assert sum(n for screen, n in first if not screen) == 1000
+        assert second_screen[0] and second_screen[1] < 100 and second_full == (False, 1000)
         assert res.n_evals + res.n_screened == 2000
 
     def test_time_budget_during_first_screen_evaluates_lowest_cell(self, screen_calls,
                                                                    monkeypatch):
         """Screen batches of 4 cells that take 0.1 s each: the budget runs out
-        within the first round's screen, and the lowest-screened cell so far is
-        evaluated in full as the incumbent."""
+        within the first round's screen. Each screen batch's lowest cell that can
+        still win was evaluated in full right after it, and the least of those is
+        the incumbent."""
         hat, bar = screen_scene(0.02)
         calls = screen_calls
         real, pause = search.evaluate_many, 0.1
@@ -231,10 +251,15 @@ class TestScreen:
         assert elapsed < t_max + pause + 0.15
         screen = [(v, a) for n, angles, values in calls if n < len(hat)
                   for a, v in zip(angles, values)]
-        assert res.rounds == 1 and res.n_evals == 1 and res.n_screened == 0
+        full = [(k, values[0], angles[0]) for k, (n, angles, values) in enumerate(calls)
+                if n == len(hat)]
+        assert res.rounds == 1 and res.n_evals == len(full) and res.n_screened == 0
         assert 0 < len(screen) < 64 and len(screen) % 4 == 0
-        lowest = min(range(len(screen)), key=lambda k: screen[k][0])
-        assert np.array_equal(res.best.angles.as_array(), screen[lowest][1])
+        assert 0 < len(full) <= len(screen) // 4 and full[0][0] == 1
+        for k, _, angles in full:  # right after its screen batch, that batch's lowest
+            assert calls[k - 1][0] < len(hat)
+            assert np.array_equal(angles, calls[k - 1][1][np.argmin(calls[k - 1][2])])
+        assert res.best.objective == min(v for _, v, _ in full)
         assert res.best.objective == evaluate_ub(hat, bar, res.best.angles).objective
 
     def test_time_budget_on_last_screen_batch(self, screen_calls, monkeypatch):
@@ -273,6 +298,28 @@ class TestScreen:
         res = ags_run(hat, bar, AgsConfig(n_d=3, t_max=pause, box=cfg.box))
         assert res.rounds == 2 and screens == [27, 27] and calls[-1][0] < len(hat)
         assert res.best.objective == first.best.objective
+
+
+class TestBlockBounds:
+    """One KD-tree per block of cells bounds every cell of the block from below."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 9.9e6, 0.0)])
+    @pytest.mark.parametrize("n_d", [1, 3, 10])
+    def test_below_every_cells_sampled_objective(self, noise, offset, n_d):
+        """n_d = 1 and 3 give one-cell blocks (m = 0), 3 partial edge blocks."""
+        hat, bar = screen_scene(noise, offset)
+        sample = decimate(hat, search._SCREEN_STRIDE)
+        p, half = PLANTED.as_array(), np.radians([0.4, 0.7, 0.3])
+        for box in (AngleBox.symmetric_deg(2.0),
+                    AngleBox.from_arrays(p + np.radians([0.2, -1.5, 0.5]) - half,
+                                         p + np.radians([0.2, -1.5, 0.5]) + half),
+                    AngleBox.from_arrays(p - 5e-7, p + 5e-7)):
+            centers = search._cell_centers(box, n_d, None, box)
+            bounds = search._block_bounds(sample, bar, centers, n_d)
+            exact = evaluate_many(sample, bar, centers)[0]
+            assert np.all(bounds <= exact)
+            assert bounds.max() > 0.1 * exact.max() or exact.max() < 1e-9  # not vacuous
 
 
 class TestAgsConfig:
