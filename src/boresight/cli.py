@@ -62,7 +62,7 @@ def _box_arg(bounds_deg: float) -> AngleBox:
 def _ags_config(**kwargs) -> AgsConfig:
     try:
         return AgsConfig(**kwargs)
-    except ValueError as exc:  # n_d, t_max or shrink out of range: an argument, not data
+    except ValueError as exc:  # a search setting out of range: an argument, not data
         raise UsageError(str(exc)) from exc
 
 
@@ -187,10 +187,10 @@ def _cmd_synth(args) -> int:
 def _cmd_crop(args) -> int:
     vals = _parse_floats(args.box, 6, "--box")
     box = CropBox(np.array(vals[:3]), np.array(vals[3:]))
-    c = load_fused(args.infile)
-    c = crop(c, box, _angles_arg(args.angles))
-    if args.decimate > 1:
-        c = decimate(c, args.decimate)
+    angles = _angles_arg(args.angles)
+    if args.decimate < 1:
+        raise UsageError("--decimate must be >= 1")
+    c = decimate(crop(load_fused(args.infile), box, angles), args.decimate)
     save_fused(c, args.out)
     _write_report(_report_kv([
         ("command", "crop"),
@@ -233,6 +233,8 @@ def _cmd_nsbb(args) -> int:
         raise UsageError("--time-limit must be positive seconds")
     if args.eps_rel <= 0 or args.eps_abs <= 0:
         raise UsageError("--eps-rel and --eps-abs must be positive")
+    if args.max_nodes is not None and args.max_nodes < 0:
+        raise UsageError("--max-nodes must be >= 0")
     cfg = None if args.no_ags_init else _ags_config(
         n_d=args.ags_nd, t_max=args.time_limit or 1e9, box=box, seed=args.seed,
         max_rounds=args.ags_rounds)

@@ -63,6 +63,8 @@ class AgsConfig:
             raise ValueError("shrink must be in (0, 1)")
         if self.t_max <= 0:
             raise ValueError("t_max must be > 0")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass
@@ -70,7 +72,7 @@ class AgsResult:
     best: Evaluation
     rounds: int
     n_evals: int  # full evaluations
-    n_screened: int  # cells ruled out by their block or sampled lower bound
+    n_screened: int  # cells not evaluated in full, their bound above the round's last incumbent
 
 
 def evaluate_many(hat: Cloud, bar: Cloud, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,113 +181,84 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     box, recenter a shrunken box on the incumbent, repeat until the time (or
     round) budget runs out. The search never leaves the original box.
 
-    Two lower bounds on a cell's objective spare full evaluations: one from a
-    KD-tree per 2x2x2 block of cells (_block_bounds), and the screen, a sum of
-    exact nearest squared distances over a strided sample of the hat points.
-    The first round screens cells in ascending block bound, evaluates each
-    screen batch's lowest cell in full if it can still win, and stops at the
-    first block bound above the round's best. Later rounds rule out the cells
-    whose block bound exceeds the incumbent and screen the rest in index
-    order; once no bound screened in the round exceeds the incumbent, the
-    rest go unscreened, with bound 0. Blocks are skipped after a round where
-    they rule nothing out, until the grid restarts from the full box. Then
-    cells are evaluated in full in ascending order of the bound, up to the
-    first bound above the round's best (or the incumbent, if lower), so the
-    winner is the one a full round finds: the least objective, then the
-    lowest cell index; it replaces the incumbent only if strictly lower.
-    n_screened counts the cells either bound rules out. t_max is checked
-    after every batch of cells (BATCH_BYTES of points) of either pass; time
-    running out during the screen ends the round there."""
+    A round refines its cells best first. A cell's bound rises through up to
+    three levels, each a lower bound on its objective until the last: the
+    block bound (_block_bounds, one KD-tree per 2x2x2 block of cells, for
+    every cell at the round's start), the screen (exact nearest squared
+    distances summed over a strided sample of the hat points) and the full
+    objective. A cell is live while it is not evaluated in full and its bound
+    can still win: at most the limit, the incumbent lowered by the round's
+    best. Each step orders the live cells by (bound, index) and refines a
+    batch (BATCH_BYTES of points) of those whose next level is the least
+    cell's. So the winner is the one a full round finds: the least objective,
+    then the lowest cell index; it replaces the incumbent only if strictly
+    lower. n_screened counts the cells a round ends with below full and a
+    bound above the limit. After any round but a run's first, a level that
+    ends the round with no such cell is skipped until the grid restarts from
+    the full box. t_max is checked before every batch: once it has passed,
+    the round ends, after a run without an incumbent evaluates its least
+    live cell in full."""
     box0 = cfg.box
     box = box0
     rng = np.random.default_rng(cfg.seed)
     sample = decimate(hat, _SCREEN_STRIDE)
-    screen = blocks = len(sample) >= _SCREEN_MIN_POINTS
-    batch = max(1, BATCH_BYTES // (24 * (len(hat) + len(bar))))
-    screen_batch = max(1, BATCH_BYTES // (24 * (len(sample) + len(bar))))
+    screen = len(sample) >= _SCREEN_MIN_POINTS
+    on = np.array([True, screen, screen, True])  # levels: none, block, screen, full
+    size = [0, 0, max(1, BATCH_BYTES // (24 * (len(sample) + len(bar)))),
+            max(1, BATCH_BYTES // (24 * (len(hat) + len(bar))))]  # cells per batch
     best: Evaluation | None = None
+    limit = np.inf  # the incumbent's objective, lowered by each round's best
     rounds = n_evals = n_screened = 0
     jitter: np.ndarray | None = None
-    t0 = time.monotonic()
-
-    def out_of_time() -> bool:
-        return time.monotonic() - t0 >= cfg.t_max
-
-    def can_win(bounds: np.ndarray) -> np.ndarray:
-        return bounds <= limit * (1.0 + _SCREEN_MARGIN)
-
-    def evaluate(cells: np.ndarray) -> None:  # in full; the least may update win and limit
-        nonlocal win, limit, n_evals
-        objectives, assignments = evaluate_many(hat, bar, centers[cells])
-        n_evals += len(cells)
-        done[cells] = True
-        b = np.lexsort((cells, objectives))[0]
-        if win is None or (objectives[b], cells[b]) < win[:2]:
-            win = (objectives[b], cells[b], assignments[b])
-            limit = min(limit, float(objectives[b]))
-
+    deadline = time.monotonic() + cfg.t_max
     while True:
         rounds += 1
         centers = _cell_centers(box, cfg.n_d, jitter, box0)
         jitter = None
-        first = best is None
-        limit = np.inf if first else best.objective
-        win: tuple | None = None  # the round's (objective, cell, assignment) minimum
-        low = np.zeros(len(centers))  # bound 0 for unscreened cells: always evaluated
-        done = np.zeros(len(centers), dtype=bool)  # evaluated in full
-        queue = np.arange(len(centers) if screen else 0)  # cells to screen, in order
-        if blocks:  # bound inf: ruled out (in the first round, until screened)
-            block = _block_bounds(sample, bar, centers, cfg.n_d)
-            low[first | ~can_win(block)] = np.inf
-            queue = np.argsort(block, kind="stable") if first else np.flatnonzero(can_win(block))
-        k = 0
-        timed_out = False
-        while k < len(queue):
-            cells = queue[k:k + screen_batch]
-            if first:  # block bounds ascend: stop at the first that cannot win
-                cells = cells[can_win(block[cells])]
-                if not len(cells):
+        win = (np.inf, 0, None)  # the round's (objective, cell, assignment) minimum
+        level = np.full(len(centers), int(on[1]))  # block, or none with bound 0
+        bound = _block_bounds(sample, bar, centers, cfg.n_d) if on[1] else np.zeros(len(centers))
+        up = np.array([k + 1 + np.argmax(on[k + 1:]) for k in range(3)])  # next level
+        while True:
+            live = np.flatnonzero((level < 3) & (bound <= limit * (1.0 + _SCREEN_MARGIN)))
+            if not len(live):
+                break
+            live = live[np.argsort(bound[live], kind="stable")]
+            to = up[level[live]]
+            if time.monotonic() >= deadline:
+                if limit < np.inf:
                     break
-            low[cells] = evaluate_many(sample, bar, centers[cells])[0]
-            k += len(cells)
-            if first:  # an early incumbent tightens the limit for the rest
-                c = cells[np.argmin(low[cells])]
-                if can_win(low[c]):
-                    evaluate(np.array([c]))
-            timed_out = out_of_time()
-            if timed_out:
-                break
-            if not first and np.all(can_win(low[queue[:k]])):
-                break  # the screen rules out nothing so far: skip the rest
-        if blocks:
-            blocks = bool(np.isinf(low).any())
-
-        order = np.argsort(low, kind="stable")
-        order = order[~done[order]][:0 if timed_out else None]
-        for k in range(0, len(order), batch):
-            cells = order[k:k + batch]
-            keep = cells[can_win(low[cells])]
-            if len(keep):
-                evaluate(keep)
-            if len(keep) < len(cells):  # bounds ascend: every later cell is out too
-                n_screened += len(order) - k - len(keep)
-                break
-            if out_of_time():
-                break
-        if win is not None and (best is None or win[0] < best.objective):
+                live, to = live[:1], np.array([3])  # no incumbent yet: the least cell in full
+            cells = live[to == to[0]][:size[to[0]]]
+            level[cells] = to[0]
+            if to[0] == 2:
+                bound[cells] = evaluate_many(sample, bar, centers[cells])[0]
+                continue
+            objectives, assignments = evaluate_many(hat, bar, centers[cells])
+            n_evals += len(cells)
+            b = np.lexsort((cells, objectives))[0]
+            if (objectives[b], cells[b]) < win[:2]:
+                win = (objectives[b], cells[b], assignments[b])
+                limit = min(limit, float(objectives[b]))
+        ruled_out = (level < 3) & (bound > limit)
+        n_screened += int(ruled_out.sum())
+        if rounds > 1:  # a first round, with no incumbent, may evaluate every cell
+            on[1:3] = [np.any(ruled_out & (level == k)) for k in (1, 2)]
+        if best is None or win[0] < best.objective:
             best = Evaluation(EulerAngles(*centers[win[1]]), float(win[0]), win[2])
 
-        if (cfg.max_rounds is not None and rounds >= cfg.max_rounds) or out_of_time():
+        if (cfg.max_rounds is not None and rounds >= cfg.max_rounds
+                or time.monotonic() >= deadline):
             break
 
         # shrink around the incumbent (clipped into the original box); on a
         # stall we shrink anyway, and once the box collapses we restart from
-        # the full box with a seeded jitter and blocks, keeping the incumbent
+        # the full box with a seeded jitter and every level, keeping the incumbent
         widths = box.widths()
         if np.all(widths < _MIN_BOX_WIDTH):
             box = box0
             jitter = rng.uniform(-0.5, 0.5, size=3) * (box0.widths() / cfg.n_d)
-            blocks = screen
+            on[1:3] = screen
             continue
         center = best.angles.as_array()
         half = cfg.shrink * widths

@@ -96,6 +96,18 @@ class TestCrop:
                          "--box", "0,0,0,1,1,1", "--out", str(tmp_path / "c.txt"))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--decimate", "0"], "--decimate must be >= 1"),
+        (["--decimate", "-2"], "--decimate must be >= 1"),
+        (["--angles", "1,2"], "--angles: expected 3 comma-separated values, got 2"),
+    ])
+    def test_invalid_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
+        """Checked before the input is read: a missing file is not reached."""
+        code, _, err = run(capsys, "crop", "--in", "/nope.txt", "--box", "0,0,0,1,1,1",
+                           *argv, "--out", str(tmp_path / "c.txt"))
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+
 
 class TestApply:
     def test_identity_pose_zero_angles_reproduces_l(self, tmp_path, capsys):
@@ -158,6 +170,8 @@ class TestAgs:
         (["--nd", "0"], "n_d must be >= 1"),
         (["--tmax", "-1"], "t_max must be > 0"),
         (["--shrink", "1.5"], "shrink must be in (0, 1)"),
+        (["--rounds", "0"], "max_rounds must be >= 1"),
+        (["--rounds", "-3"], "max_rounds must be >= 1"),
     ])
     def test_invalid_search_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
         hat, bar, _ = synth_files
@@ -261,12 +275,22 @@ class TestNsbb:
         (["--ags-nd", "0"], "n_d must be >= 1"),
         (["--eps-rel", "0"], "--eps-rel and --eps-abs must be positive"),
         (["--eps-abs", "-1"], "--eps-rel and --eps-abs must be positive"),
+        (["--ags-rounds", "0"], "max_rounds must be >= 1"),
+        (["--max-nodes", "-1"], "--max-nodes must be >= 0"),
     ])
     def test_invalid_solver_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
         hat, bar, _ = synth_files
         code, _, err = run(capsys, "nsbb", "--hat", hat, "--bar", bar, *argv)
         assert code == EXIT_USAGE
         assert err == f"usage error: {message}\n"
+
+    def test_zero_max_nodes_bounds_the_root_only(self, synth_files, capsys):
+        hat, bar, _ = synth_files
+        code, out, _ = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--max-nodes", "0",
+                           "--no-ags-init", "--eps-abs", "1e-12", "--eps-rel", "1e-12")
+        kv = parse_report(out)
+        assert code == EXIT_OK
+        assert kv["nodes_explored"] == "0" and int(kv["pairs_root"]) > 0
 
     def test_lb_mode_option_is_gone(self, synth_files, capsys):
         hat, bar, _ = synth_files

@@ -1,6 +1,5 @@
 """Objective evaluation and the adaptive grid search."""
 
-import itertools
 import time
 import tracemalloc
 
@@ -183,7 +182,7 @@ class TestScreen:
 
         def recording(sample, b, centers, n_d):
             bounds = real(sample, b, centers, n_d)
-            blocks.append((centers.copy(), bounds))
+            blocks.append((centers.copy(), bounds.copy()))  # ags_run raises bounds in place
             return bounds
 
         monkeypatch.setattr(search, "_block_bounds", recording)
@@ -206,42 +205,85 @@ class TestScreen:
         assert [a for a, v in block.items()
                 if v <= res.best.objective and a not in low and a not in full] == []
 
-    def test_round_that_rules_nothing_out_stops_screening(self, screen_calls):
+    def test_round_that_rules_nothing_out_stops_screening(self, screen_calls, monkeypatch):
         """On a ±0.016° box around the planted angles no bound exceeds the first
-        round's incumbent. The first round screens every cell and evaluates each
-        screen batch's lowest cell in full as it goes; its block stage rules
-        nothing out, so the second round screens one batch, then evaluates all
-        its cells in full."""
+        round's incumbent. The first round screens every cell and evaluates every
+        cell in full, and so does the second: the first round never pauses a
+        level. Neither level rules a cell out in the second round, so the third
+        runs no block stage and no screen and evaluates all its cells in full."""
         hat, bar = screen_scene(0.02)
         half = np.radians(0.016)
         box = AngleBox.from_arrays(PLANTED.as_array() - half, PLANTED.as_array() + half)
-        res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=2))
-        passes = [(n < len(hat), sum(len(a) for _, a, _ in calls))
-                  for n, calls in itertools.groupby(screen_calls, key=lambda c: c[0])]
-        *first, second_screen, second_full = passes
-        assert [screen for screen, _ in first] == [True, False] * (len(first) // 2)
-        assert all(n == 1 for _, n in first[1:-1:2])
-        assert sum(n for screen, n in first if screen) == 1000
-        assert sum(n for screen, n in first if not screen) == 1000
-        assert second_screen[0] and second_screen[1] < 100 and second_full == (False, 1000)
-        assert res.n_evals + res.n_screened == 2000
+        real, blocks, passes = search._block_bounds, [], []
+
+        def recording(*args):
+            blocks.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(search, "_block_bounds", recording)
+        for rounds in (2, 3):
+            screen_calls.clear()
+            blocks.clear()
+            res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=rounds))
+            passes.append([(n < len(hat), len(a)) for n, a, _ in screen_calls])
+        two, three = passes
+        assert sum(n for screen, n in two if screen) == 2000
+        assert sum(n for screen, n in two if not screen) == 2000
+        assert three[:len(two)] == two and blocks == [1000, 1000]
+        assert not any(screen for screen, _ in three[len(two):])
+        assert sum(n for _, n in three[len(two):]) == 1000
+        assert res.n_evals == 3000 and res.n_screened == 0
+
+    @pytest.mark.parametrize("n_hat, n_bar, seed", [(100, 250, 1), (100, 250, 5), (200, 500, 9)])
+    def test_refines_least_bound_first(self, n_hat, n_bar, seed, screen_calls, monkeypatch):
+        """With one cell per batch, a round refines only cells whose bound is at
+        most its best objective: every screened cell's block bound, and every
+        fully evaluated cell's block and screened bounds. An early full
+        evaluation of a cell that a lower bound would later rule out fails."""
+        hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
+        real, blocks = search._block_bounds, []
+
+        def recording(*args):  # a copy: ags_run raises the bounds in place
+            blocks.append((args[2].copy(), real(*args)))
+            return blocks[-1][1].copy()
+
+        monkeypatch.setattr(search, "_block_bounds", recording)
+        monkeypatch.setattr(search, "BATCH_BYTES", 24 * (len(hat) + len(bar)))
+        res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=1))
+        (centers, bounds), = blocks
+        block = {tuple(a): v for a, v in zip(centers, bounds)}
+        low = {tuple(a): v for n, angles, values in screen_calls if n < len(hat)
+               for a, v in zip(angles, values)}
+        full = {tuple(a) for n, angles, _ in screen_calls if n == len(hat) for a in angles}
+        assert all(len(a) == 1 for _, a, _ in screen_calls)
+        assert len(full) == res.n_evals and res.n_evals + res.n_screened == 1000
+        cap = res.best.objective * (1.0 + search._SCREEN_MARGIN)
+        assert [a for a in low if block[a] > cap] == []
+        assert [a for a in full if max(block[a], low[a]) > cap] == []
 
     def test_time_budget_during_first_screen_evaluates_lowest_cell(self, screen_calls,
                                                                    monkeypatch):
         """Screen batches of 4 cells that take 0.1 s each: the budget runs out
-        within the first round's screen. Each screen batch's lowest cell that can
-        still win was evaluated in full right after it, and the least of those is
-        the incumbent."""
+        within the first round's screen, before any cell is evaluated in full.
+        The round then evaluates one cell in full, the live cell of least bound
+        (block bound, or screened bound once screened), and ends; n_screened
+        counts the cells whose bound exceeds its objective."""
         hat, bar = screen_scene(0.02)
         calls = screen_calls
-        real, pause = search.evaluate_many, 0.1
+        real, real_blocks, pause, blocks = search.evaluate_many, search._block_bounds, 0.1, []
 
         def slow_screen(h, b, angles):
             if len(h) < len(hat):
                 time.sleep(pause)
             return real(h, b, angles)
 
+        def recording(*args):  # a copy: ags_run raises the bounds in place
+            blocks.append((args[2].copy(), real_blocks(*args)))
+            return blocks[-1][1].copy()
+
         monkeypatch.setattr(search, "evaluate_many", slow_screen)
+        monkeypatch.setattr(search, "_block_bounds", recording)
         n_sample = len(range(0, len(hat), search._SCREEN_STRIDE))
         monkeypatch.setattr(search, "BATCH_BYTES", 4 * 24 * (n_sample + len(bar)))
         t_max = 0.3
@@ -249,17 +291,17 @@ class TestScreen:
         res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=t_max, box=AngleBox.symmetric_deg(2.0)))
         elapsed = time.monotonic() - t0
         assert elapsed < t_max + pause + 0.15
-        screen = [(v, a) for n, angles, values in calls if n < len(hat)
-                  for a, v in zip(angles, values)]
-        full = [(k, values[0], angles[0]) for k, (n, angles, values) in enumerate(calls)
-                if n == len(hat)]
-        assert res.rounds == 1 and res.n_evals == len(full) and res.n_screened == 0
-        assert 0 < len(screen) < 64 and len(screen) % 4 == 0
-        assert 0 < len(full) <= len(screen) // 4 and full[0][0] == 1
-        for k, _, angles in full:  # right after its screen batch, that batch's lowest
-            assert calls[k - 1][0] < len(hat)
-            assert np.array_equal(angles, calls[k - 1][1][np.argmin(calls[k - 1][2])])
-        assert res.best.objective == min(v for _, v, _ in full)
+        (centers, bound), = blocks
+        for n, angles, values in calls[:-1]:
+            assert n < len(hat)
+            for a, v in zip(angles, values):
+                bound[np.flatnonzero((centers == a).all(axis=1))] = v
+        screened = sum(len(a) for _, a, _ in calls[:-1])
+        assert res.rounds == 1 and res.n_evals == 1 and calls[-1][0] == len(hat)
+        assert 0 < screened < 64 and screened % 4 == 0
+        assert np.array_equal(calls[-1][1][0], centers[np.argmin(bound)])
+        assert res.best.objective == calls[-1][2][0]
+        assert res.n_screened == np.sum(bound > res.best.objective) > 0
         assert res.best.objective == evaluate_ub(hat, bar, res.best.angles).objective
 
     def test_time_budget_on_last_screen_batch(self, screen_calls, monkeypatch):
@@ -279,7 +321,8 @@ class TestScreen:
         cfg = AgsConfig(n_d=3, t_max=0.05, box=AngleBox.symmetric_deg(2.0))
         res = ags_run(hat, bar, cfg)
         assert [(n < len(hat), len(a)) for n, a, _ in calls] == [(True, 27), (False, 1)]
-        assert res.rounds == 1 and res.n_evals == 1 and res.n_screened == 0
+        assert res.rounds == 1 and res.n_evals == 1
+        assert res.n_screened == np.sum(calls[0][2] > res.best.objective)
         lowest = int(np.argmin(calls[0][2]))
         assert np.array_equal(res.best.angles.as_array(), calls[0][1][lowest])
 
@@ -331,6 +374,9 @@ class TestAgsConfig:
             AgsConfig(n_d=2, t_max=0.0, box=box)
         with pytest.raises(ValueError):
             AgsConfig(n_d=2, t_max=1.0, box=box, shrink=1.5)
+        for rounds in (0, -3):
+            with pytest.raises(ValueError, match="max_rounds must be >= 1"):
+                AgsConfig(n_d=2, t_max=1.0, box=box, max_rounds=rounds)
 
 
 class TestAgs:
