@@ -17,9 +17,9 @@ _MIN_BOX_WIDTH = 1e-6  # radians; below this the grid restarts with jitter
 # Georeferenced points (24 bytes each, both clouds) that one aGS batch holds
 BATCH_BYTES = 1 << 18
 # Nearest-point candidates per hat point above which a batch of angles builds one
-# KD-tree per angle instead of sharing one (evaluate_many). aGS time against a tree
-# per angle for 8 / 16 / 32 (n_d=10, 5 rounds, median of 11 alternations, 2-vCPU
-# VM): 30x60 -50/-55/-51%, 100x250 -35/-44/-37%, 500x1250 +1/-9/-7%.
+# KD-tree per angle instead of sharing one (_nearest_many). aGS time against a tree per
+# angle for 16 / 24 / 32 (leaf size 64, n_d=10, 5 rounds, min of 5, 2-vCPU VM): 30x60
+# -60/-65/-67%, 100x250 -62/-61/-62%, 500x1250 (min of 3) -11/-5/+2%.
 _CANDIDATES_PER_POINT = 16
 # Each aGS round first screens its cells on every _SCREEN_STRIDE-th hat point, a
 # lower bound on their objectives, when that sample holds _SCREEN_MIN_POINTS or more.
@@ -33,8 +33,8 @@ _SCREEN_MIN_POINTS = 16
 # Relative slack on the screen's bound. Its terms are bitwise terms of the full sum,
 # so only rounding in the two sums differs: at most 2 n 2^-53, 2.2e-10 for 1e6 points.
 _SCREEN_MARGIN = 1e-9
-# Cells per block edge in _block_bounds. 2000x5000 aGS, 1 round of n_d=10 (seeds 1-3,
-# min of 3, 2-vCPU VM): 0.52-0.58 s at 2, 0.95-1.09 at 3, 1.73-2.25 at 5, 1.34-1.40 without.
+# Cells per block edge in _block_bounds. 2000x5000 aGS, 1 round of n_d=10 (seeds 1-3, min of
+# 3, 2-vCPU VM, leaf size 64): 0.46-0.50 s at 2, 0.81-0.89 at 3, 1.05-1.14 at 4, 1.21-1.23 without.
 _BLOCK_EDGE = 2
 
 
@@ -76,40 +76,42 @@ class AgsResult:
 
 
 def evaluate_many(hat: Cloud, bar: Cloud, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of an (m, 3) angle array, the sum over hat points of the exact nearest
-    squared distance to the georeferenced bar cloud (a valid global upper bound)
-    and the nearest bar indices: (m,) and (m, n_hat), each row the same for any m.
-    The batch shares the middle row's KD-tree when _candidates certifies short
-    candidate lists, and builds one per row otherwise."""
-    p_hat = georeference(hat, angles)
-    p_bar = georeference(bar, angles)
-    m, n = len(p_hat), len(hat)
-    r = m // 2
+    """Per row of an (m, 3) angle array, the sum of _nearest_many's squared distances
+    (a valid global upper bound) and its nearest bar indices: (m,) and (m, n_hat)."""
+    d2, assignments = _nearest_many(hat, bar, angles)
+    return d2.sum(axis=1), assignments
+
+
+def _nearest_many(hat: Cloud, bar: Cloud, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (m, 3) angle array, each hat point's exact nearest squared
+    distance to the georeferenced bar cloud and nearest bar index: (m, n_hat) each,
+    each row the same for any m. The batch shares the middle row's KD-tree when
+    _candidates certifies short candidate lists, and builds one per row otherwise."""
+    p_hat, p_bar = georeference(hat, angles), georeference(bar, angles)
+    m, n, r = len(p_hat), len(hat), len(p_hat) // 2
     ref = NnIndex(p_bar[r])
     j_r, d2_r = ref.query_many(p_hat[r])
-    objectives = np.empty(m)
-    assignments = np.empty((m, n), dtype=np.intp)
+    d2, nearest = np.empty((m, n)), np.empty((m, n), dtype=np.intp)
     cand = _candidates(ref, p_hat, p_bar, r, d2_r) if m > 1 else None
     if cand is None:
         for k in range(m):
-            assignments[k], d2 = (j_r, d2_r) if k == r else NnIndex(p_bar[k]).query_many(p_hat[k])
-            objectives[k] = d2.sum()
-        return objectives, assignments
+            nearest[k], d2[k] = (j_r, d2_r) if k == r else NnIndex(p_bar[k]).query_many(p_hat[k])
+        return d2, nearest
     counts, j = cand
     starts, pos = np.cumsum(counts) - counts, np.arange(len(j))
     rows = np.repeat(np.arange(n), counts)
     chunk = max(1, BATCH_BYTES // (24 * len(j)))
     for k0 in range(0, m, chunk):
-        # query_many's formula (p[j] - q, summed over the coordinates, then over
-        # the hat points), so each row is bitwise what a per-angle tree gives
+        # query_many's formula (p[j] - q, summed over the coordinates), so each
+        # distance is bitwise what a per-angle tree gives
         diffs = p_bar[k0:k0 + chunk, j]
         diffs -= p_hat[k0:k0 + chunk, rows]
-        d2 = np.einsum("ktc,ktc->kt", diffs, diffs)
-        low = np.repeat(np.minimum.reduceat(d2, starts, axis=1), counts, axis=1)
-        first = np.minimum.reduceat(np.where(d2 == low, pos, len(j)), starts, axis=1)
-        assignments[k0:k0 + chunk] = j[first]  # each list's first minimiser
-        objectives[k0:k0 + chunk] = np.take_along_axis(d2, first, axis=1).sum(axis=1)
-    return objectives, assignments
+        e = np.einsum("ktc,ktc->kt", diffs, diffs)
+        d2[k0:k0 + chunk] = low = np.minimum.reduceat(e, starts, axis=1)
+        first = np.minimum.reduceat(np.where(e == np.repeat(low, counts, axis=1), pos, len(j)),
+                                    starts, axis=1)
+        nearest[k0:k0 + chunk] = j[first]  # each list's first minimiser
+    return d2, nearest
 
 
 def _candidates(ref: NnIndex, p_hat: np.ndarray, p_bar: np.ndarray, r: int,
@@ -151,29 +153,40 @@ def _cell_centers(box: AngleBox, n_d: int, jitter: np.ndarray | None,
     return np.clip(centers, clip_box.lows(), clip_box.highs())
 
 
-def _block_bounds(sample: Cloud, bar: Cloud, centers: np.ndarray, n_d: int) -> np.ndarray:
-    """Lower bounds on the cells' sampled objectives (centers in _cell_centers'
-    order), from one bar KD-tree per block of up to _BLOCK_EDGE^3 cells, built at the
-    block's mean angle. Between that angle and a cell's, every point moves at most
-    m ||l|| (INS poses are orthonormal to POSE_ORTHO_TOL), m = ||R(cell) - R(mean)||_F
-    / sqrt(2) = 2 sin(phi/2) being the spectral norm for rotations phi apart. So a
-    nearest distance d_i at the mean angle falls by at most m (||l_i|| + max_j ||l_j||)
-    plus the rounding of two georeferenced offsets."""
+def _block_bounds(sample: Cloud, bar: Cloud, centers: np.ndarray, n_d: int,
+                  deadline: float = np.inf) -> np.ndarray:
+    """Lower bounds on the cells' sampled objectives (centers in _cell_centers' order)
+    from nearest distances at the mean angle of each block of up to _BLOCK_EDGE^3 cells.
+    Between that angle and a cell's, every point moves at most m ||l|| (INS poses are
+    orthonormal to POSE_ORTHO_TOL), m = ||R(cell) - R(mean)||_F / sqrt(2) = 2 sin(phi/2),
+    the spectral norm for rotations phi apart. So d_i at the mean angle falls by at
+    most m (||l_i|| + max_j ||l_j||) plus the rounding of two georeferenced offsets.
+    Blocks not reached by the deadline (checked between _nearest_many batches) keep bound 0."""
     reach = (1.0 + 2.0 * POSE_ORTHO_TOL) * (np.linalg.norm(sample.l, axis=1)
                                             + np.linalg.norm(bar.l, axis=1).max())
     scale = max(np.abs(sample.s).max(), np.abs(bar.s).max())
     slack = max(POINT_SLACK, 2 * GEOREF_ULPS * np.spacing(scale))
-    index, e = np.arange(len(centers)).reshape(n_d, n_d, n_d), _BLOCK_EDGE
-    bounds = np.empty(len(centers))
-    for a, b, g in itertools.product(range(0, n_d, e), repeat=3):
-        cells = index[a:a + e, b:b + e, g:g + e].ravel()
-        theta = centers[cells].mean(axis=0)
-        R = rotation_matrices(*np.vstack([theta, centers[cells]]).T)
-        m = np.sqrt(np.einsum("kab,kab->k", R[1:] - R[0], R[1:] - R[0]).max() / 2.0)
-        d2 = NnIndex(georeference(bar, theta[None])[0]).query_many(
-            georeference(sample, theta[None])[0])[1]
-        bounds[cells] = (np.maximum(0.0, np.sqrt(d2) - m * reach - slack) ** 2).sum()
-    return bounds
+    axis, edges = np.arange(n_d) // _BLOCK_EDGE, -(-n_d // _BLOCK_EDGE)
+    block = ((axis[:, None, None] * edges + axis[:, None]) * edges + axis).ravel()
+    # sums in cell order, as each block's mean does
+    theta = np.transpose([np.bincount(block, c) for c in centers.T]) / np.bincount(block)[:, None]
+    R = rotation_matrices(*centers.T) - rotation_matrices(*theta.T)[block]
+    m = np.zeros(len(theta))
+    np.maximum.at(m, block, np.einsum("kab,kab->k", R, R))
+    m = np.sqrt(m / 2.0)[:, None]
+    bounds = np.zeros(len(theta))
+    size = max(1, BATCH_BYTES // (24 * (len(sample) + len(bar))))
+    for b in range(0, len(theta), size):
+        if time.monotonic() >= deadline:
+            break
+        d = np.sqrt(_nearest_many(sample, bar, theta[b:b + size])[0])
+        bounds[b:b + size] = (np.maximum(0.0, d - m[b:b + size] * reach - slack) ** 2).sum(axis=1)
+    return bounds[block]
+
+
+def _pays(ruled_out: np.ndarray, passed_on: np.ndarray) -> bool:
+    """A bound level stays on while it rules out more cells than it passes on (masks)."""
+    return ruled_out.sum() > passed_on.sum()
 
 
 def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
@@ -183,7 +196,7 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
 
     A round refines its cells best first. A cell's bound rises through up to
     three levels, each a lower bound on its objective until the last: the
-    block bound (_block_bounds, one KD-tree per 2x2x2 block of cells, for
+    block bound (_block_bounds, one ball bound per 2x2x2 block of cells, for
     every cell at the round's start), the screen (exact nearest squared
     distances summed over a strided sample of the hat points) and the full
     objective. A cell is live while it is not evaluated in full and its bound
@@ -193,13 +206,12 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
     cell's. So the winner is the one a full round finds: the least objective,
     then the lowest cell index; it replaces the incumbent only if strictly
     lower. n_screened counts the cells a round ends with below full and a
-    bound above the limit. After any round but a run's first, a level that
-    ends the round with no such cell is skipped until the grid restarts from
-    the full box. t_max is checked before every batch: once it has passed,
-    the round ends, after a run without an incumbent evaluates its least
-    live cell in full."""
-    box0 = cfg.box
-    box = box0
+    bound above the limit. After any round but a run's first, a level stays
+    on only while it pays (_pays); once off, it is skipped until the grid
+    restarts from the full box. t_max is checked before every batch, the
+    block stage's too: once it has passed, the round ends, after a run
+    without an incumbent evaluates its least live cell in full."""
+    box0 = box = cfg.box
     rng = np.random.default_rng(cfg.seed)
     sample = decimate(hat, _SCREEN_STRIDE)
     screen = len(sample) >= _SCREEN_MIN_POINTS
@@ -217,7 +229,7 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
         jitter = None
         win = (np.inf, 0, None)  # the round's (objective, cell, assignment) minimum
         level = np.full(len(centers), int(on[1]))  # block, or none with bound 0
-        bound = _block_bounds(sample, bar, centers, cfg.n_d) if on[1] else np.zeros(len(centers))
+        bound = _block_bounds(sample, bar, centers, cfg.n_d, deadline) if on[1] else 0.0 * level
         up = np.array([k + 1 + np.argmax(on[k + 1:]) for k in range(3)])  # next level
         while True:
             live = np.flatnonzero((level < 3) & (bound <= limit * (1.0 + _SCREEN_MARGIN)))
@@ -243,7 +255,7 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
         ruled_out = (level < 3) & (bound > limit)
         n_screened += int(ruled_out.sum())
         if rounds > 1:  # a first round, with no incumbent, may evaluate every cell
-            on[1:3] = [np.any(ruled_out & (level == k)) for k in (1, 2)]
+            on[1:3] = [on[k] and _pays(ruled_out & (level == k), level > k) for k in (1, 2)]
         if best is None or win[0] < best.objective:
             best = Evaluation(EulerAngles(*centers[win[1]]), float(win[0]), win[2])
 
@@ -260,11 +272,9 @@ def ags_run(hat: Cloud, bar: Cloud, cfg: AgsConfig) -> AgsResult:
             jitter = rng.uniform(-0.5, 0.5, size=3) * (box0.widths() / cfg.n_d)
             on[1:3] = screen
             continue
-        center = best.angles.as_array()
-        half = cfg.shrink * widths
-        lows = np.maximum(box0.lows(), center - half)
-        highs = np.minimum(box0.highs(), center + half)
-        box = AngleBox.from_arrays(lows, highs)
+        center, half = best.angles.as_array(), cfg.shrink * widths
+        box = AngleBox.from_arrays(np.maximum(box0.lows(), center - half),
+                                   np.minimum(box0.highs(), center + half))
 
     assert best is not None
     return AgsResult(best=best, rounds=rounds, n_evals=n_evals, n_screened=n_screened)

@@ -27,11 +27,11 @@ class NnIndex:
     def __init__(self, points):
         pts = _as_vertex_set(points)
         self._points = pts
-        # Sliding-midpoint splits without node shrinking: at 2000x5000 a build takes
-        # 0.9 ms instead of 1.8 and a 2000-point query 3.7 ms instead of 3.0, and aGS,
-        # which builds a tree per cell there, takes 31% less time (2-vCPU VM); the
-        # 100x250 and 30x60 bench solves are within 2%.
-        self._tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+        # Sliding-midpoint splits without node shrinking: 2000x5000 aGS takes 31% less time.
+        # aGS time at leafsize 16 / 32 / 64 / 128 (n_d=10, min of 6 or 3 alternations,
+        # 2-vCPU VM): 30x60 5 rounds 0/-1/-2/+1%, 100x250 5 rounds 0/-5/-9/-6%, 500x5000
+        # 2 rounds 0/-6/-14/-16%.
+        self._tree = cKDTree(pts, leafsize=64, balanced_tree=False, compact_nodes=False)
 
     def query_many(self, Q) -> tuple[np.ndarray, np.ndarray]:
         """Batch nearest neighbors: (indices, squared distances). No tie-break guarantee."""

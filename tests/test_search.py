@@ -1,5 +1,6 @@
 """Objective evaluation and the adaptive grid search."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from boresight import search
-from boresight.cloud import Cloud, decimate, georeference, synth_generate
-from boresight.rotation import AngleBox, EulerAngles
+from boresight.cloud import POSE_ORTHO_TOL, Cloud, decimate, georeference, synth_generate
+from boresight.relax import GEOREF_ULPS, POINT_SLACK
+from boresight.rotation import AngleBox, EulerAngles, rotation_matrices
 from boresight.search import AgsConfig, ags_run, evaluate_many, evaluate_ub
 from boresight.spatial import NnIndex
 
@@ -180,8 +182,8 @@ class TestScreen:
         hat, bar = screen_scene(0.02, lift=1.0)
         calls, real, blocks = screen_calls, search._block_bounds, []
 
-        def recording(sample, b, centers, n_d):
-            bounds = real(sample, b, centers, n_d)
+        def recording(sample, b, centers, n_d, deadline):
+            bounds = real(sample, b, centers, n_d, deadline)
             blocks.append((centers.copy(), bounds.copy()))  # ags_run raises bounds in place
             return bounds
 
@@ -341,6 +343,144 @@ class TestScreen:
         res = ags_run(hat, bar, AgsConfig(n_d=3, t_max=pause, box=cfg.box))
         assert res.rounds == 2 and screens == [27, 27] and calls[-1][0] < len(hat)
         assert res.best.objective == first.best.objective
+
+
+    def test_block_stage_honours_time_budget(self, screen_calls, monkeypatch):
+        """Block batches of 4 blocks that take 0.1 s each: the first round's 125
+        blocks would take 3.2 s. The block stage stops within one batch after
+        t_max, the blocks it did not reach keep bound 0, and the round, with no
+        screen, evaluates in full the least of their cells."""
+        hat, bar = screen_scene(0.02)
+        real, pause, batches = search._nearest_many, 0.1, []
+
+        def slow(h, b, angles):
+            if len(h) < len(hat):
+                batches.append(len(angles))
+                time.sleep(pause)
+            return real(h, b, angles)
+
+        monkeypatch.setattr(search, "_nearest_many", slow)
+        n_sample = len(range(0, len(hat), search._SCREEN_STRIDE))
+        monkeypatch.setattr(search, "BATCH_BYTES", 4 * 24 * (n_sample + len(bar)))
+        box, t_max = AngleBox.symmetric_deg(2.0), 0.3
+        t0 = time.monotonic()
+        res = ags_run(hat, bar, AgsConfig(n_d=10, t_max=t_max, box=box))
+        elapsed = time.monotonic() - t0
+        assert elapsed < t_max + pause + 0.15
+        assert 0 < len(batches) < 32 and set(batches) == {4}
+        assert [n for n, _, _ in screen_calls] == [len(hat)]
+        assert res.rounds == 1 and res.n_evals == 1
+        a, b, g = np.unravel_index(np.arange(1000), (10, 10, 10))
+        unreached = np.flatnonzero(((a // 2) * 5 + b // 2) * 5 + g // 2 >= 4 * len(batches))
+        centers = search._cell_centers(box, 10, None, box)
+        assert np.array_equal(res.best.angles.as_array(), centers[unreached[0]])
+
+
+def per_block_trees(sample, bar, centers, n_d):
+    """Oracle: _block_bounds as one loop over the blocks, one KD-tree each."""
+    reach = (1.0 + 2.0 * POSE_ORTHO_TOL) * (np.linalg.norm(sample.l, axis=1)
+                                            + np.linalg.norm(bar.l, axis=1).max())
+    scale = max(np.abs(sample.s).max(), np.abs(bar.s).max())
+    slack = max(POINT_SLACK, 2 * GEOREF_ULPS * np.spacing(scale))
+    index, e = np.arange(len(centers)).reshape(n_d, n_d, n_d), search._BLOCK_EDGE
+    bounds = np.empty(len(centers))
+    for a, b, g in itertools.product(range(0, n_d, e), repeat=3):
+        cells = index[a:a + e, b:b + e, g:g + e].ravel()
+        theta = centers[cells].mean(axis=0)
+        R = rotation_matrices(*np.vstack([theta, centers[cells]]).T)
+        m = np.sqrt(np.einsum("kab,kab->k", R[1:] - R[0], R[1:] - R[0]).max() / 2.0)
+        d2 = NnIndex(georeference(bar, theta[None])[0]).query_many(
+            georeference(sample, theta[None])[0])[1]
+        bounds[cells] = (np.maximum(0.0, np.sqrt(d2) - m * reach - slack) ** 2).sum()
+    return bounds
+
+
+class TestBatchedBlockBounds:
+    """The block stage shares _nearest_many's batches, bitwise equal to a KD-tree
+    per block."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 9.9e6, 0.0)])
+    @pytest.mark.parametrize("n_d", [1, 3, 10])
+    def test_bitwise_equal_to_per_block_trees(self, noise, offset, n_d, trees_built):
+        """n_d = 1 gives one-cell blocks (m = 0), 3 partial edge blocks."""
+        hat, bar = screen_scene(noise, offset)
+        sample = decimate(hat, search._SCREEN_STRIDE)
+        p, half = PLANTED.as_array(), np.radians([0.4, 0.7, 0.3])
+        for box in (AngleBox.symmetric_deg(2.0), AngleBox.from_arrays(p - half, p + half),
+                    AngleBox.from_arrays(p - 1e-4, p + 1e-4), AngleBox.from_arrays(p - 5e-7, p + 5e-7)):
+            centers = search._cell_centers(box, n_d, None, box)
+            bounds = search._block_bounds(sample, bar, centers, n_d)
+            assert np.array_equal(bounds, per_block_trees(sample, bar, centers, n_d))
+        if n_d == 10:  # 125 blocks per box; the two narrowest share a tree per batch
+            assert len(trees_built) < 3 * 125  # search's trees only, not the oracle's
+
+
+class TestPayOrPause:
+    """After a run's first round a bound level stays on only while it rules out
+    more cells than it passes on; a restart from the full box turns it back on."""
+
+    @pytest.mark.parametrize("n_hat, n_bar, seed", [(100, 250, 1), (100, 250, 2), (100, 250, 3),
+                                                    (200, 500, 9)])
+    def test_same_best_as_levels_forced_on(self, n_hat, n_bar, seed, monkeypatch):
+        hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
+        cfg = AgsConfig(n_d=10, t_max=120.0, box=AngleBox.symmetric_deg(2.0), max_rounds=5)
+        real, paid = search._pays, []
+
+        def recording(ruled_out, passed_on):
+            paid.append(real(ruled_out, passed_on))
+            return paid[-1]
+
+        monkeypatch.setattr(search, "_pays", recording)
+        paused = ags_run(hat, bar, cfg)
+        monkeypatch.setattr(search, "_pays", lambda ruled_out, passed_on: True)
+        forced = ags_run(hat, bar, cfg)
+        assert not all(paid)  # a level was paused
+        assert paused.best.objective == forced.best.objective
+        assert paused.best.angles == forced.best.angles
+        assert np.array_equal(paused.best.assignment, forced.best.assignment)
+        assert paused.n_evals + paused.n_screened == forced.n_evals + forced.n_screened == 5000
+
+    def test_level_off_after_passing_on_more_than_it_rules_out(self, screen_calls, monkeypatch):
+        """Per round, from the cells it screens and evaluates in full: the block
+        level passes on the cells screened or evaluated and rules out the rest;
+        the screen passes on the cells evaluated and rules out the others it
+        screened. Each level runs in the next round exactly when that round
+        restarts from the full box, or the level ran and ruled out more than it
+        passed on (after the first round: ran)."""
+        hat, bar, _ = synth_generate(100, 250, PLANTED, 0.02, seed=1)
+        calls, real_centers, real_blocks = screen_calls, search._cell_centers, search._block_bounds
+
+        def centers(box, n_d, jitter, clip_box):
+            calls.append(("round", jitter is not None, None))
+            return real_centers(box, n_d, jitter, clip_box)
+
+        def blocks(*args):
+            calls.append(("block", len(args[2]), None))
+            return real_blocks(*args)
+
+        monkeypatch.setattr(search, "_cell_centers", centers)
+        monkeypatch.setattr(search, "_block_bounds", blocks)
+        res = ags_run(hat, bar, AgsConfig(n_d=4, t_max=120.0, box=AngleBox.symmetric_deg(2.0),
+                                          max_rounds=40))
+        rounds = []
+        for kind, n, angles in calls:
+            if kind == "round":
+                rounds.append({"restart": n, "block": False, "low": set(), "full": set()})
+            elif kind == "block":
+                rounds[-1]["block"] = True
+            else:
+                rounds[-1]["low" if kind < len(hat) else "full"].update(map(tuple, n))
+        assert len(rounds) == res.rounds == 40
+        for r, (now, then) in enumerate(zip(rounds, rounds[1:])):
+            passed = now["low"] | now["full"]
+            block = now["block"] and (r == 0 or 64 - len(passed) > len(passed))
+            screen = bool(now["low"]) and (r == 0 or len(now["low"] - now["full"])
+                                           > len(now["full"]))
+            assert then["block"] == (then["restart"] or block)
+            assert bool(then["low"]) == (then["restart"] or screen)
+        paused = [r for r, x in enumerate(rounds) if not x["block"]]
+        assert paused and any(x["restart"] and x["block"] for x in rounds[paused[0]:])
 
 
 class TestBlockBounds:

@@ -92,6 +92,25 @@ class TestNnIndex:
         assert idx.query_ball(pts, 0.0, cap=-1)[1] is None  # count-only, even with empty balls
 
 
+class TestNnIndexLeafSize:
+    """Around the KD-tree's leaf size (one leaf, one split) and on many leaves, every
+    nearest squared distance is a brute-force scan's minimum and its index one of
+    the scan's equidistant minimisers."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_matches_brute_force_with_duplicates(self, extra):
+        leaf = NnIndex(np.zeros((1, 3)))._tree.leafsize
+        n = 5000 if extra is None else leaf + extra
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3))
+        pts[n // 2:n // 2 + n // 5] = pts[:n // 5]  # every 5th point is also another's twin
+        qs = np.vstack([rng.normal(size=(100, 3)), pts[:30], pts[:30] + 1e-6])
+        js, d2s = NnIndex(pts).query_many(qs)
+        for q, j, d2 in zip(qs, js, d2s):
+            scan = np.einsum("ij,ij->i", pts - q, pts - q)
+            assert d2 == scan.min() and scan[j] == d2
+
+
 class TestGjk:
     def test_identical_singletons(self):
         assert gjk_min_sq_dist([[1, 2, 3]], [[1, 2, 3]]) == 0.0
