@@ -4,11 +4,12 @@ For a scanner-frame return l and an angle box, the reachable set
 {R(angles) @ l} lies on the sphere of radius ||l||. Its convex enclosure is
 the interval box K from the rotation enclosure, intersected with sphere
 tangent cuts (from above) and the box secant of the norm equality (from
-below). Pair bounds over the box follow from polytope-to-polytope distances;
-the dense root set is bounded from each pair's linearised model instead.
+below).
 
-compute_pair_set works per box, in vectorised passes over fixed chunks of all
-points and all pairs.
+compute_pair_set bounds every pair of a box from the pair's linearised model;
+where those bounds could still change a reduction decision, the distance
+between the two points' polytopes (GJK) raises the lower bound. It works per
+box, in vectorised passes over fixed chunks of points and pairs.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .cloud import Cloud
 from .reduce import PairSet
 from .rotation import (AngleBox, RotationInterval, rotation_from_angles, rotation_interval,
                        rotation_jacobian)
-from .spatial import _clipped_solve, _cross, hull_sq_dist_bounds
+from .spatial import _clipped_solve, _cross, hull_min_sq_dist
 # single-pair bounds re-exported under this module, where bench/tracer.py wraps them
 from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as max_vertex_sq_dist
 
-# All containment checks carry this absolute slack (meters); exported bounds
-# are widened by it so pruning stays conservative. Single-vertex (degenerate)
-# polytopes are exact up to rounding and get a much smaller widening.
+# All containment checks carry this absolute slack (meters); polytope bounds
+# are widened by it so pruning stays conservative. The pair model is exact up
+# to rounding on a single angle and gets a much smaller widening.
 CONTAIN_SLACK = 1e-6
 POINT_SLACK = 1e-9
 # Georeferenced pair offsets are off by at most 2 sqrt(3) ulps of max|s| (1.0
@@ -38,9 +39,8 @@ GEOREF_ULPS = 4
 # peak memory (512/1024 pairs or 64 points add 1.8/2.9/2.5 MB of peak RSS).
 POINT_CHUNK = 16
 PAIR_CHUNK = 256
-# Pairs per pass of the pair model over the dense root set: on a 100x250 root
-# box (2-vCPU VM) 1024 took 52 ms where PAIR_CHUNK took 70, for 0.2 MB more
-# peak memory.
+# Pairs per pass of the pair model: on a 100x250 root box (2-vCPU VM) 1024
+# took 52 ms where PAIR_CHUNK took 70, for 0.2 MB more peak memory.
 MODEL_CHUNK = 1024
 
 _VERTEX_DEDUP = 1e-9
@@ -81,15 +81,12 @@ class UncertaintyPolytope:
     """Vertex + halfspace form of the convex enclosure of {R @ l} over a box.
 
     Halfspace normals are unit length; a point x is inside iff
-    normals @ x <= offsets (within slack). center/radius give the enclosing
-    ball of the vertices, used for cheap distance prescreens.
+    normals @ x <= offsets (within slack).
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     vertices: np.ndarray
-    center: np.ndarray
-    radius: float
 
     @property
     def is_point(self) -> bool:
@@ -183,8 +180,8 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _polytopes(L: np.ndarray, ri: RotationInterval):
     """Enclosures of the reachable positions of every row of L over one box:
     planes (normals, offsets, counts), vertices (n, K, 3) padded with the
-    centre, vertex counts, centres and radii. Points with the same number of
-    planes go through _vertices together, in chunks."""
+    centre, vertex counts and centres. Points with the same number of planes
+    go through _vertices together, in chunks."""
     lo, hi = _reach_bounds(ri, L)
     A, b, m = _halfspaces(L, lo, hi)
     rows, pts = [np.flatnonzero(m == 0)], [np.zeros((int(np.sum(m == 0)), 3))]
@@ -207,24 +204,22 @@ def _polytopes(L: np.ndarray, ri: RotationInterval):
     V, nv, _ = _pad(row[order], np.concatenate(pts)[order], len(L), 0.0)
     center = V.sum(axis=1) / nv[:, None]
     V = np.where((np.arange(V.shape[1]) < nv[:, None])[..., None], V, center[:, None])
-    radius = np.sqrt(np.max(np.sum((V - center[:, None]) ** 2, axis=2), axis=1))
-    return A, b, m, V, nv, center, radius
+    return A, b, m, V, nv, center
 
 
 def build_polytope(l: np.ndarray, box: AngleBox) -> UncertaintyPolytope:
     """Convex enclosure of the reachable positions of l over the angle box."""
-    A, b, m, V, nv, c, r = _polytopes(np.asarray(l, dtype=float)[None], rotation_interval(box))
-    return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]], c[0], float(r[0]))
+    A, b, m, V, nv, _ = _polytopes(np.asarray(l, dtype=float)[None], rotation_interval(box))
+    return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]])
 
 
 def _world_polytopes(cloud: Cloud, ids: np.ndarray, ri: RotationInterval):
-    """Polytopes of the listed points placed by their INS pose: world centres,
-    radii, vertices relative to the centre (padding sits at the centre) and
-    whether each polytope is a single point."""
-    _, _, _, V, nv, c, r = _polytopes(cloud.l[ids], ri)
+    """Polytopes of the listed points placed by their INS pose: world centres
+    and vertices relative to the centre (padding sits at the centre)."""
+    _, _, _, V, _, c = _polytopes(cloud.l[ids], ri)
     R = cloud.ins_rotation[ids]
-    return (cloud.s[ids] + np.einsum("nij,nj->ni", R, c), r,
-            np.einsum("nij,nkj->nki", R, V - c[:, None]), nv == 1)
+    return (cloud.s[ids] + np.einsum("nij,nj->ni", R, c),
+            np.einsum("nij,nkj->nki", R, V - c[:, None]))
 
 
 def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
@@ -274,27 +269,6 @@ def _model_c_hi(b: np.ndarray, A: np.ndarray, rho: np.ndarray, box: AngleBox) ->
     return (np.sqrt(np.max(np.sum(r * r, axis=1), axis=1)) + rho) ** 2
 
 
-def _model_pair_set(hat: Cloud, bar: Cloud, box: AngleBox) -> PairSet:
-    """The dense pair set with every pair's model bounds over the box, formed
-    in chunks of MODEL_CHUNK pairs."""
-    out = PairSet.dense(len(hat), len(bar))
-    for s in _chunks(out.size, MODEL_CHUNK):
-        model = _pair_model(hat, bar, out.i[s], out.j[s], box)
-        out.c_hi[s] = _model_c_hi(*model, box)
-        out.c_lo[s] = np.minimum(_model_c_lo(*model, box), out.c_hi[s])
-    return out
-
-
-def _model_pruned(hat: Cloud, bar: Cloud, box: AngleBox, pairs: PairSet,
-                  f_upper: float) -> PairSet | None:
-    """pairs with the pair model's bounds over the box if those alone prune it
-    (sum_i min_j c_lo > f_upper, as when a point has no c_lo <= f_upper), else None."""
-    model_lo = _model_c_lo(*_pair_model(hat, bar, pairs.i, pairs.j, box), box)
-    model = replace(pairs, c_lo=np.minimum(np.maximum(model_lo, pairs.c_lo), pairs.c_hi))
-    low = model.min_c_lo_per_i()
-    return model if low.sum() > f_upper else None
-
-
 def compute_pair_set(
     hat: Cloud,
     bar: Cloud,
@@ -304,54 +278,34 @@ def compute_pair_set(
 ) -> PairSet:
     """Bounds over the box for every candidate pair, vectorized.
 
-    Without pairs, every pair gets its pair model's bounds (_model_pair_set).
-    An existing PairSet restricts the candidates, and the new bounds are
-    intersected with the old ones, which keeps bounds monotone for nested
-    boxes. A box that the pair model alone prunes (_model_pruned) is returned
-    with its bounds; otherwise cheap enclosing-ball and directional-extent
-    bounds are computed for all pairs, and exact polytope-distance bounds only
-    where they could change a reduction decision.
+    One pass bounds every pair from its pair model (_model_c_lo, _model_c_hi),
+    in chunks of MODEL_CHUNK pairs: all pairs without a PairSet (the root box),
+    else the given candidates, whose old bounds are intersected with the new
+    ones, which keeps bounds monotone for nested boxes. The root returns with
+    those bounds, and so does a box that they prune (sum_i min_j c_lo >
+    f_upper). Any other box raises c_lo, never c_hi, to the GJK distance
+    between the pair's two polytopes less CONTAIN_SLACK, on the pairs that
+    could still change a reduction decision: c_lo <= f_upper and
+    c_lo <= min_k c_hi_ik.
     """
-    if pairs is None:
-        return _model_pair_set(hat, bar, box)
-    if (pruned := _model_pruned(hat, bar, box, pairs, f_upper)) is not None:
-        return pruned
+    root = pairs is None
+    out = (PairSet.dense(len(hat), len(bar)) if root
+           else replace(pairs, c_lo=pairs.c_lo.copy(), c_hi=pairs.c_hi.copy()))
+    for s in _chunks(out.size, MODEL_CHUNK):
+        model = _pair_model(hat, bar, out.i[s], out.j[s], box)
+        out.c_hi[s] = np.minimum(out.c_hi[s], _model_c_hi(*model, box))
+        out.c_lo[s] = np.minimum(np.maximum(out.c_lo[s], _model_c_lo(*model, box)), out.c_hi[s])
+    if root or out.min_c_lo_per_i().sum() > f_upper:
+        return out
+    refine = np.flatnonzero((out.c_lo <= f_upper) & (out.c_lo <= out.min_c_hi_per_i()[out.i]))
     ri = rotation_interval(box)
-    hat_ids, i_arr = np.unique(pairs.i, return_inverse=True)  # i_arr, j_arr index the ids
-    bar_ids, j_arr = np.unique(pairs.j, return_inverse=True)
-    hc, hr, hv, h_point = _world_polytopes(hat, hat_ids, ri)
-    bc, br, bv, b_point = _world_polytopes(bar, bar_ids, ri)
-
-    delta = bc[j_arr] - hc[i_arr]
-    d = np.linalg.norm(delta, axis=1)
-    # single-point pairs (degenerate boxes) keep their ball bounds, widened
-    # for the rounding of the centres
-    point = h_point[i_arr] & b_point[j_arr]
-    rr = hr[i_arr] + br[j_arr] + np.where(point, POINT_SLACK, 0.0)
-    c_lo = np.maximum(0.0, d - rr) ** 2
-    c_hi = (d + rr) ** 2
-    # tighter lower bound from directional extents along the center line:
-    # separation >= center distance minus each polytope's support toward the
-    # other (exact for the projection onto that direction)
-    for s in _chunks(d.size, PAIR_CHUNK):
-        pos = (d[s] > 1e-12) & ~point[s]
-        u = delta[s] / np.where(pos, d[s], 1.0)[:, None]
-        ext_h = np.einsum("pkd,pd->pk", hv[i_arr[s]], u).max(axis=1)
-        ext_b = np.einsum("pkd,pd->pk", bv[j_arr[s]], -u).max(axis=1)
-        sep = np.maximum(0.0, d[s] - ext_h - ext_b) ** 2
-        c_lo[s] = np.where(pos, np.maximum(c_lo[s], sep), c_lo[s])
-    c_hi = np.minimum(c_hi, pairs.c_hi)
-    c_lo = np.minimum(np.maximum(c_lo, pairs.c_lo), c_hi)
-
-    m = np.full(hat_ids.size, np.inf)
-    np.minimum.at(m, i_arr, c_hi)
-    refine = np.flatnonzero((c_lo <= f_upper) & (c_lo <= m[i_arr]) & ~point)
+    hat_ids, i_arr = np.unique(out.i[refine], return_inverse=True)  # i_arr, j_arr index the ids
+    bar_ids, j_arr = np.unique(out.j[refine], return_inverse=True)
+    hc, hv = _world_polytopes(hat, hat_ids, ri)
+    bc, bv = _world_polytopes(bar, bar_ids, ri)
     for s in _chunks(refine.size, PAIR_CHUNK):
-        p = refine[s]
-        i, j = i_arr[p], j_arr[p]
+        p, i, j = refine[s], i_arr[s], j_arr[s]
         # both hulls relative to the hat polytope's centre
-        lo, hi = hull_sq_dist_bounds(hv[i], bv[j] + delta[p, None])
-        c_lo[p] = np.maximum(c_lo[p], np.maximum(0.0, lo - CONTAIN_SLACK))
-        c_hi[p] = np.minimum(c_hi[p], hi + CONTAIN_SLACK)
-    c_lo = np.minimum(c_lo, c_hi)
-    return PairSet(n_hat=pairs.n_hat, i=pairs.i.copy(), j=pairs.j.copy(), c_lo=c_lo, c_hi=c_hi)
+        lo = hull_min_sq_dist(hv[i], bv[j] + (bc[j] - hc[i])[:, None])
+        out.c_lo[p] = np.minimum(np.maximum(out.c_lo[p], lo - CONTAIN_SLACK), out.c_hi[p])
+    return out

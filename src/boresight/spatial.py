@@ -54,12 +54,13 @@ class NnIndex:
 
 def max_vertex_sq_dist(a, b) -> float:
     """Max squared distance between conv(a) and conv(b); attained at vertices."""
-    return float(hull_sq_dist_bounds(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[1][0])
+    d = _as_vertex_set(a)[:, None] - _as_vertex_set(b)[None]
+    return float(np.einsum("ijk,ijk->ij", d, d).max())
 
 
 def gjk_min_sq_dist(a, b) -> float:
     """Min squared distance between conv(a) and conv(b); 0 when the hulls intersect."""
-    return float(hull_sq_dist_bounds(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[0][0])
+    return float(hull_min_sq_dist(_as_vertex_set(a)[None], _as_vertex_set(b)[None])[0])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,28 +132,23 @@ def _closest_on_simplex(S: np.ndarray, n: np.ndarray):
     return x[rows, best], S[rows[:, None], _FACE_IDX[best]], _FACE_SIZE[best]
 
 
-def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max squared distance between conv(A[p]) and conv(B[p]) for each p.
+def hull_min_sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Min squared distance between conv(A[p]) and conv(B[p]) for each p.
 
     A (P, Ka, 3) and B (P, Kb, 3) are stacks of vertex sets; a ragged set is
     padded with a point of its own hull (such as its centroid), which changes
-    neither distance. The max is attained at a vertex pair. The min is the
-    distance variant of the Gilbert-Johnson-Keerthi iteration over the
-    Minkowski difference, run on all P pairs in lockstep: every iteration
-    takes one support point w per pair along -v, v the closest point so far,
-    puts it in slot 0 of the simplex and steps to the closest point over the
-    faces that contain it (see _closest_on_simplex). A pair leaves the batch
-    when it terminates: with 0 when the hulls touch or intersect, with
-    ||v||^2 when v . w certifies v to tolerance. A pair that leaves without
-    that certificate (the step stalls, w repeats a simplex point, or the
-    iteration cap is hit) gets its best support-plane bound
-    max(0, v . w)^2 / ||v||^2 over the iterations, which never exceeds the
-    true squared distance.
+    no distance. It is the distance variant of the Gilbert-Johnson-Keerthi
+    iteration over the Minkowski difference, run on all P pairs in lockstep:
+    every iteration takes one support point w per pair along -v, v the
+    closest point so far, puts it in slot 0 of the simplex and steps to the
+    closest point over the faces that contain it (see _closest_on_simplex).
+    A pair leaves the batch when it terminates: with 0 when the hulls touch
+    or intersect, with ||v||^2 when v . w certifies v to tolerance. A pair
+    that leaves without that certificate (the step stalls, w repeats a
+    simplex point, or the iteration cap is hit) gets its best support-plane
+    bound max(0, v . w)^2 / ||v||^2 over the iterations, which never exceeds
+    the true squared distance.
     """
-    hi = np.zeros(len(A))
-    for a in A.transpose(1, 0, 2):  # one vertex of every A[p] at a time: O(P * Kb) memory
-        d = a[:, None] - B
-        hi = np.maximum(hi, np.einsum("pld,pld->pl", d, d).max(axis=1))
     lo, live = np.empty(len(A)), np.arange(len(A))
     v = A[:, 0] - B[:, 0]
     S, n = np.zeros((len(A), 4, 3)), np.zeros(len(A), dtype=int)
@@ -176,9 +172,9 @@ def hull_sq_dist_bounds(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.nd
         keep = ~done
         live, A, B, S, n, w, best = (x[keep] for x in (live, A, B, S, n, w, best))
         if not live.size:
-            return lo, hi
+            return lo
         prev = vv[keep] if it else prev[keep]
         S = np.concatenate([w[:, None], S[:, :3]], axis=1)
         v, S, n = _closest_on_simplex(S, n + 1)
     lo[live] = best
-    return lo, hi
+    return lo

@@ -387,11 +387,11 @@ def test_relative_gap_denominator_floor():
 
 
 class TestModelPruneStage:
-    """The pair-model stage of compute_pair_set (relax._model_pruned) prunes
-    only with valid bounds: no box it returns early holds an angle at or below
-    the f_upper it was given. It may prune a box the polytopes would have kept
-    (one pair's model bound can be the tighter); on these two solves it does
-    not, and with it switched off they explore, bound and prune the same boxes."""
+    """compute_pair_set returns a child box after its pair-model pass, without
+    polytopes, when those bounds alone prune it. It prunes only with valid
+    bounds: no box it returns early holds an angle at or below the f_upper it
+    was given, and the polytope pass over the same box and parent set keeps
+    it above that f_upper."""
 
     SOLVES = {"30x60_6_nodes": (30, 60, 4, 6, 1e-4), "W3": (10, 20, 600, None, 1e-6)}
 
@@ -401,39 +401,38 @@ class TestModelPruneStage:
         hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
         box = AngleBox.symmetric_deg(2.0)
         warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
-        stage, early, reports = relax._model_pruned, [], {}
+        polytopes, pair_set, calls, early = relax._world_polytopes, gopt.compute_pair_set, [], []
+
+        def counting(*args):
+            calls.append(None)
+            return polytopes(*args)
 
         def recording(hat, bar, box, pairs, f_upper):
-            out = stage(hat, bar, box, pairs, f_upper)
-            if out is not None:
-                early.append((box, f_upper))
+            before = len(calls)
+            out = pair_set(hat, bar, box, pairs, f_upper=f_upper)
+            if pairs is not None and len(calls) == before:
+                early.append((box, pairs, f_upper))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            for name, fn in (("off", lambda *args: None), ("on", recording)):
-                mp.setattr(relax, "_model_pruned", fn)
-                reports[name] = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=eps_abs,
-                                           f_upper_init=warm, max_nodes=max_nodes)
-        return hat, bar, reports, early
+            mp.setattr(relax, "_world_polytopes", counting)
+            mp.setattr(gopt, "compute_pair_set", recording)
+            report = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=eps_abs,
+                                f_upper_init=warm, max_nodes=max_nodes)
+        assert len(early) > 0 and len(calls) > 0 and report.nodes_explored > 0
+        return hat, bar, early
 
-    def test_same_search_with_the_stage_off(self, solves):
-        _, _, rep, early = solves
-        off, on = rep["off"], rep["on"]
-
-        def pruned(r):
-            return sorted(tuple(b.lows()) + tuple(b.highs()) for b, _ in r.prune_log)
-
-        assert len(early) > 0
-        assert on.nodes_explored == off.nodes_explored > 0
-        assert on.f_lower == off.f_lower and on.f_upper == off.f_upper
-        assert on.bound_log == off.bound_log
-        assert pruned(on) == pruned(off)
-        assert (on.nodes_pruned_bound + on.nodes_pruned_infeasible
-                == off.nodes_pruned_bound + off.nodes_pruned_infeasible)
+    def test_polytope_pass_also_prunes(self, solves):
+        """The polytope pass runs on every box at f_upper = inf, and only
+        raises c_lo: reduced at the recorded f_upper, the box stays pruned."""
+        hat, bar, early = solves
+        for box, pairs, f_upper in early:
+            red = reduce_pairs(compute_pair_set(hat, bar, box, pairs), f_upper)
+            assert red.infeasible or builtin_lower_bound(red.pairs) > f_upper
 
     def test_early_boxes_exceed_f_upper_on_a_grid(self, solves):
-        hat, bar, _, early = solves
-        for box, f_upper in early:
+        hat, bar, early = solves
+        for box, _, f_upper in early:
             axes = [np.linspace(lo, hi, 7) for lo, hi in zip(box.lows(), box.highs())]
             # evaluate_ub's values, row for row (its one-row case)
             objectives, _ = evaluate_many(hat, bar, np.array(list(itertools.product(*axes))))
@@ -442,24 +441,25 @@ class TestModelPruneStage:
 
 @pytest.mark.parametrize("name", list(TestModelPruneStage.SOLVES))
 def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
-    """The root's dense set is bounded from the pair model alone
-    (relax._model_pair_set). Those bounds are valid, but they differ from the
-    polytope path's, so an equal search is not guaranteed; on these two solves
-    the root on the polytope path (an explicit dense set) explores and bounds
-    the same boxes."""
+    """Without pairs, the root box keeps its pair-model bounds; an explicit
+    dense set takes the polytope pass too, which can only raise c_lo. An
+    equal search is therefore not guaranteed; on these two solves the root
+    on the polytope pass explores and bounds the same boxes."""
     n_hat, n_bar, seed, max_nodes, eps_abs = TestModelPruneStage.SOLVES[name]
     hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
     box = AngleBox.symmetric_deg(2.0)
     warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
     kwargs = dict(eps_rel=0.01, eps_abs=eps_abs, f_upper_init=warm, max_nodes=max_nodes)
     model = nsbb_solve(hat, bar, box, **kwargs)
-    roots = []
+    pair_set, roots = gopt.compute_pair_set, []
 
-    def polytope_root(hat, bar, box):
-        roots.append(box)
-        return compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
+    def polytope_root(hat, bar, box, pairs, f_upper):
+        if pairs is None:
+            roots.append(box)
+            pairs = PairSet.dense(len(hat), len(bar))
+        return pair_set(hat, bar, box, pairs, f_upper=f_upper)
 
-    monkeypatch.setattr(relax, "_model_pair_set", polytope_root)
+    monkeypatch.setattr(gopt, "compute_pair_set", polytope_root)
     polytope = nsbb_solve(hat, bar, box, **kwargs)
     assert roots == [box]
     assert model.nodes_explored == polytope.nodes_explored > 0

@@ -9,8 +9,9 @@ import pytest
 from boresight import relax
 from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.gopt import nsbb_solve
-from boresight.reduce import PairSet
+from boresight.reduce import PairSet, reduce_pairs
 from boresight.relax import (
+    MODEL_CHUNK,
     PAIR_CHUNK,
     POINT_CHUNK,
     CONTAIN_SLACK,
@@ -24,7 +25,7 @@ from boresight.rotation import (
     rotation_interval,
     rotation_matrices,
 )
-from boresight.spatial import gjk_min_sq_dist, max_vertex_sq_dist
+from boresight.search import evaluate_ub
 
 PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
@@ -105,11 +106,6 @@ class TestBuildPolytope:
         assert norms.max() <= lnorm * 1.01
         assert norms.min() >= lnorm * 0.99
 
-    def test_enclosing_ball_covers_vertices(self):
-        poly = build_polytope([4.0, 4.0, -1.0], AngleBox.symmetric_deg(2.0))
-        d = np.linalg.norm(poly.vertices - poly.center, axis=1)
-        assert d.max() <= poly.radius + 1e-12
-
 
 def scene_pair_samples(hat, bar, i, j, box, n=1000, seed=0):
     """Oracle: exact squared pair distance at n sampled angles in the box."""
@@ -122,19 +118,40 @@ def scene_pair_samples(hat, bar, i, j, box, n=1000, seed=0):
     return np.einsum("ni,ni->n", d, d)
 
 
+def grid_sq_dists(hat, bar, i, j, box, n):
+    """Oracle: georeferenced squared distances of pairs (i, j) at every point
+    of an n^3 grid of the box, shape (n^3, pairs)."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(box.lows(), box.highs())]
+    grid = np.array(list(itertools.product(*axes)))
+    d = georeference(hat, grid)[:, i] - georeference(bar, grid)[:, j]
+    return np.einsum("gpc,gpc->gp", d, d)
+
+
+def assert_brackets_the_grid(ps, hat, bar, box, n=7):
+    d2 = grid_sq_dists(hat, bar, ps.i, ps.j, box, n)
+    assert np.all(ps.c_lo <= d2.min(axis=0))
+    assert np.all(ps.c_hi >= d2.max(axis=0))
+
+
+def recording(monkeypatch, name, arg):
+    """Replace relax.<name> by a wrapper that records the length of its
+    positional argument arg (the pairs of the call) on every call."""
+    sizes, kernel = [], getattr(relax, name)
+
+    def wrapper(*args):
+        sizes.append(len(args[arg]))
+        return kernel(*args)
+
+    monkeypatch.setattr(relax, name, wrapper)
+    return sizes
+
+
 def pair_set_for(hat, bar, box, keys):
     """compute_pair_set over the given distinct (i, j) pairs only."""
     n = len(keys)
     pairs = PairSet(n_hat=len(hat), i=[k[0] for k in keys], j=[k[1] for k in keys],
                     c_lo=np.zeros(n), c_hi=np.full(n, np.inf))
     return compute_pair_set(hat, bar, box, pairs)
-
-
-def polytope_pair_bounds(hat, bar, i, j, box):
-    """Oracle: exact distance bounds between the two transformed polytopes."""
-    vh = hat.s[i] + build_polytope(hat.l[i], box).vertices @ hat.ins_rotation[i].T
-    vb = bar.s[j] + build_polytope(bar.l[j], box).vertices @ bar.ins_rotation[j].T
-    return gjk_min_sq_dist(vh, vb), max_vertex_sq_dist(vh, vb)
 
 
 class TestPairBounds:
@@ -179,17 +196,12 @@ class TestPairBounds:
 
 class TestComputePairSet:
     def test_matches_exact_pair_bounds(self, tiny_scene):
-        # refined pairs carry the polytope bounds, the rest the looser
-        # enclosing-ball bounds: never tighter than the exact polytope bounds
+        # pair-model bounds, with GJK's polytope distance raising the refined
+        # pairs' c_lo: never tighter than the exact distances on a grid
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(2.0)
         ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
-        rng = np.random.default_rng(0)
-        for k in rng.choice(ps.size, 50, replace=False):
-            i, j = int(ps.i[k]), int(ps.j[k])
-            lo, hi = polytope_pair_bounds(hat, bar, i, j, box)
-            assert ps.c_lo[k] <= lo + 1e-9
-            assert ps.c_hi[k] >= hi - 1e-9
+        assert_brackets_the_grid(ps, hat, bar, box)
 
     def test_monotone_for_nested_boxes(self, tiny_scene):
         hat, bar, _ = tiny_scene
@@ -255,19 +267,16 @@ class TestPairModelBounds:
         i = np.repeat(np.arange(len(hat)), len(bar))
         j = np.tile(np.arange(len(bar)), len(hat))
         c_lo = relax._model_c_lo(*relax._pair_model(hat, bar, i, j, box), box)
-        axes = [np.linspace(lo, hi, 7) for lo, hi in zip(box.lows(), box.highs())]
-        grid = np.array(list(itertools.product(*axes)))
-        d = georeference(hat, grid)[:, i] - georeference(bar, grid)[:, j]
-        grid_min = np.einsum("gpc,gpc->gp", d, d).min(axis=0)
         assert c_lo.max() > 0.0
-        assert np.all(c_lo <= grid_min)
+        assert np.all(c_lo <= grid_sq_dists(hat, bar, i, j, box, 7).min(axis=0))
 
 
 class TestRootModelBounds:
-    """Grid oracle for the root's bounds (compute_pair_set without pairs, from
-    the pair model alone), on every (i, j) of a noisy 10x20 and a noisy 30x60
-    scene: c_lo is at most and c_hi at least the georeferenced squared distance
-    at every point of a 9^3 grid of the box, also at a southern UTM northing."""
+    """Grid oracle for compute_pair_set on every (i, j) of a noisy 10x20 and a
+    noisy 30x60 scene, also at a southern UTM northing: c_lo is at most and
+    c_hi at least the georeferenced squared distance at every point of a grid
+    of the box. The root's bounds come from the pair model alone; a child
+    box's start from them and GJK raises c_lo."""
 
     CENTRE = PLANTED.as_array()
     BOXES = {
@@ -276,6 +285,8 @@ class TestRootModelBounds:
         "tiny": AngleBox.from_arrays(CENTRE - math.radians(0.001), CENTRE + math.radians(0.001)),
         "degenerate": TestPairModelBounds.BOXES["degenerate"],
     }
+    CHILD_BOXES = {name: TestPairModelBounds.BOXES[name]
+                   for name in ("off_centre", "narrow", "degenerate")}
 
     @pytest.fixture(scope="class", params=[(10, 20, 3), (30, 60, 4)], ids=["10x20", "30x60"])
     def scene(self, request):
@@ -289,13 +300,23 @@ class TestRootModelBounds:
         hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in scene)
         box = self.BOXES[name]
         ps = compute_pair_set(hat, bar, box)
-        axes = [np.linspace(lo, hi, 9) for lo, hi in zip(box.lows(), box.highs())]
-        grid = np.array(list(itertools.product(*axes)))
-        d = georeference(hat, grid)[:, ps.i] - georeference(bar, grid)[:, ps.j]
-        d2 = np.einsum("gpc,gpc->gp", d, d)
         assert ps.size == len(hat) * len(bar)
-        assert np.all(ps.c_lo <= d2.min(axis=0))
-        assert np.all(ps.c_hi >= d2.max(axis=0))
+        assert_brackets_the_grid(ps, hat, bar, box, 9)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (5e5, 9.9e6, 0.0)],
+                             ids=["plain", "utm_south"])
+    @pytest.mark.parametrize("name", list(CHILD_BOXES))
+    def test_child_brackets_the_grid(self, scene, offset, name, monkeypatch):
+        """A child box inherits the ±2° root set, reduced at the objective of
+        the child's midpoint: that box cannot be pruned, so it reaches GJK."""
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in scene)
+        box = self.CHILD_BOXES[name]
+        f_upper = evaluate_ub(hat, bar, box.midpoint()).objective
+        parent = reduce_pairs(compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0)), f_upper)
+        refined = recording(monkeypatch, "hull_min_sq_dist", 0)
+        ps = compute_pair_set(hat, bar, box, parent.pairs, f_upper)
+        assert sum(refined) > 0
+        assert_brackets_the_grid(ps, hat, bar, box)
 
 
 def greedy_dedup(pts, tol):
@@ -316,14 +337,13 @@ class TestBatchedPolytopes:
         rng = np.random.default_rng(31)
         L = np.vstack([np.zeros(3), rng.normal(scale=20.0, size=(40, 3)), [[0.0, 0.0, -30.0]]])
         assert len(L) > POINT_CHUNK
-        A, b, m, V, nv, center, radius = relax._polytopes(L, rotation_interval(box))
+        A, b, m, V, nv, center = relax._polytopes(L, rotation_interval(box))
         assert m[0] == 0 and nv[0] == 1 and np.all(V[0] == 0.0)
         assert len(set(m[1:].tolist())) > 1
         for k in range(1, len(L)):
             verts = V[k, : nv[k]]
             assert np.all(verts @ A[k, : m[k]].T <= b[k, : m[k]] + 1e-8)
             assert np.all(V[k, nv[k]:] == center[k])  # padding sits at the centre
-            assert np.linalg.norm(verts - center[k], axis=1).max() <= radius[k] + 1e-12
             single = build_polytope(L[k], box)
             assert np.array_equal(single.vertices, verts)
             assert np.array_equal(single.normals, A[k, : m[k]])
@@ -333,10 +353,10 @@ class TestBatchedPolytopes:
     def test_degenerate_box_batch_is_exact(self):
         a = EulerAngles(0.01, -0.02, 0.005)
         L = np.array([[5.0, 1.0, -2.0], [0.0, 0.0, 0.0], [-40.0, 3.0, 12.0]])
-        _, _, _, V, nv, center, radius = relax._polytopes(L, rotation_interval(degenerate_box(a)))
+        _, _, _, V, nv, center = relax._polytopes(L, rotation_interval(degenerate_box(a)))
         assert np.all(nv == 1)
         assert np.allclose(V[:, 0], L @ rotation_from_angles(a).T, atol=1e-9)
-        assert np.all(radius == 0.0)
+        assert np.all(center == V[:, 0])
 
     def test_vertex_pass_never_gets_an_empty_batch(self, small_scene, monkeypatch):
         """Only systems that have rows reach _vertices: the box-only fallback
@@ -367,7 +387,7 @@ class TestBatchedPolytopes:
             return row[:len(row) * keep], pts[:len(pts) * keep]
 
         monkeypatch.setattr(relax, "_vertices", over_tight)
-        A, b, m, V, nv, _, _ = relax._polytopes(L, rotation_interval(box))
+        A, b, m, V, nv, _ = relax._polytopes(L, rotation_interval(box))
         lo, hi = relax._reach_bounds(rotation_interval(box), L)
         assert np.all(m == 6) and np.all(nv == 8)
         for k in range(len(L)):
@@ -476,14 +496,7 @@ class TestChunkedPairSet:
     def test_refinement_over_several_chunks_matches_oracle(self, small_scene, monkeypatch):
         hat, bar, _ = small_scene
         box = AngleBox.symmetric_deg(2.0)
-        batches = []
-        kernel = relax.hull_sq_dist_bounds
-
-        def counting(A, B):
-            batches.append(len(A))
-            return kernel(A, B)
-
-        monkeypatch.setattr(relax, "hull_sq_dist_bounds", counting)
+        batches = recording(monkeypatch, "hull_min_sq_dist", 0)
         ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         chunked = len(batches)
         assert sum(batches) > PAIR_CHUNK and chunked >= 2
@@ -494,12 +507,22 @@ class TestChunkedPairSet:
         assert len(batches) == chunked + 1
         np.testing.assert_allclose(ps.c_lo, whole.c_lo, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(ps.c_hi, whole.c_hi, rtol=1e-12, atol=1e-15)
-        rng = np.random.default_rng(33)
-        for k in rng.choice(ps.size, 60, replace=False):
-            i, j = int(ps.i[k]), int(ps.j[k])
-            lo, hi = polytope_pair_bounds(hat, bar, i, j, box)
-            assert ps.c_lo[k] <= lo + 1e-9
-            assert ps.c_hi[k] >= hi - 1e-9
+        assert_brackets_the_grid(ps, hat, bar, box)
+
+    def test_child_model_pass_is_chunked(self, small_scene, monkeypatch):
+        """A child box that inherits more than MODEL_CHUNK pairs forms their
+        model in chunks of at most MODEL_CHUNK, with the bounds of one chunk."""
+        hat, bar, _ = small_scene
+        parent = compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0))
+        box = AngleBox.from_arrays(np.zeros(3), np.full(3, math.radians(2.0)))  # an octant
+        assert parent.size > MODEL_CHUNK
+        sizes = recording(monkeypatch, "_pair_model", 2)
+        ps = compute_pair_set(hat, bar, box, parent)
+        assert max(sizes) <= MODEL_CHUNK and len(sizes) >= 2 and sum(sizes) == parent.size
+        monkeypatch.setattr(relax, "MODEL_CHUNK", 10**6)
+        whole = compute_pair_set(hat, bar, box, parent)
+        assert sizes[-1] == parent.size
+        assert np.array_equal(ps.c_lo, whole.c_lo) and np.array_equal(ps.c_hi, whole.c_hi)
 
 
 class TestUtmOffsetInvariance:

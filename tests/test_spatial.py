@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from boresight import spatial
 from boresight.relax import CONTAIN_SLACK, PAIR_CHUNK
-from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_sq_dist_bounds, max_vertex_sq_dist
+from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_min_sq_dist, max_vertex_sq_dist
 
 
 def linear_scan_nn(points: np.ndarray, q: np.ndarray) -> tuple[int, float]:
@@ -230,24 +230,24 @@ class TestLockstepBounds:
                 b[0] = a.mean(axis=0)  # b holds a point of conv(a): the hulls overlap
             sets_a.append(a)
             sets_b.append(b)
-        lo, hi = hull_sq_dist_bounds(padded(sets_a), padded(sets_b))
+        lo = hull_min_sq_dist(padded(sets_a), padded(sets_b))
         for p, (a, b) in enumerate(zip(sets_a, sets_b)):
             if p % 4 == 3:
                 assert lo[p] == 0.0
             else:
                 assert lo[p] == pytest.approx(qp_min_sq_dist(a, b), abs=1e-6)
             d = a[:, None] - b[None]
-            assert hi[p] == np.einsum("ijk,ijk->ij", d, d).max()
+            assert max_vertex_sq_dist(a, b) == np.einsum("ijk,ijk->ij", d, d).max()
             assert lo[p] == pytest.approx(gjk_min_sq_dist(a, b), rel=1e-12, abs=1e-15)
 
     def test_padding_with_a_hull_point_changes_nothing(self):
         rng = np.random.default_rng(22)
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)) + 3.0
         pad_a = np.vstack([a, a.mean(axis=0), a[:3].mean(axis=0)])
-        lo, hi = hull_sq_dist_bounds(np.stack([a, a]), np.stack([b, b]))
-        lo_p, hi_p = hull_sq_dist_bounds(pad_a[None], b[None])
+        lo = hull_min_sq_dist(np.stack([a, a]), np.stack([b, b]))
+        lo_p = hull_min_sq_dist(pad_a[None], b[None])
         assert lo_p[0] == pytest.approx(lo[0], rel=1e-12)
-        assert hi_p[0] == hi[0]
+        assert max_vertex_sq_dist(pad_a, b) == max_vertex_sq_dist(a, b)
 
 
 def all_faces_closest(S, n):
@@ -308,11 +308,10 @@ class TestNewestFaceStep:
         pairs = gjk_stacks(np.random.default_rng(41))
         A = padded([np.asarray(a, dtype=float) for a, _ in pairs])
         B = padded([np.asarray(b, dtype=float) for _, b in pairs])
-        lo, hi = hull_sq_dist_bounds(A, B)
+        lo = hull_min_sq_dist(A, B)
         monkeypatch.setattr(spatial, "_closest_on_simplex", all_faces_closest)
-        lo_ref, hi_ref = hull_sq_dist_bounds(A, B)
+        lo_ref = hull_min_sq_dist(A, B)
         np.testing.assert_allclose(lo, lo_ref, rtol=5e-9, atol=1e-12)
-        assert np.array_equal(hi, hi_ref)
         qp = np.array([qp_min_sq_dist(a, b) for a, b in pairs])
         assert np.all(lo <= qp + CONTAIN_SLACK)
         assert np.all(lo[qp <= 1e-12] == 0.0)
@@ -325,9 +324,9 @@ class TestNewestFaceStep:
                                    for _ in range(20)]
         A = padded([np.asarray(a, dtype=float) for a, _ in pairs])
         B = padded([np.asarray(b, dtype=float) for _, b in pairs])
-        converged = hull_sq_dist_bounds(A, B)[0]
+        converged = hull_min_sq_dist(A, B)
         monkeypatch.setattr(spatial, "_GJK_MAX_ITER", 1)
-        capped = hull_sq_dist_bounds(A, B)[0]
+        capped = hull_min_sq_dist(A, B)
         qp = np.array([qp_min_sq_dist(a, b) for a, b in pairs])
         assert np.all(capped >= 0.0)
         assert np.all(capped <= qp + 1e-12)
