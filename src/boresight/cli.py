@@ -54,15 +54,15 @@ def _angles_arg(text: str) -> EulerAngles:
 
 
 def _box_arg(bounds_deg: float) -> AngleBox:
-    if bounds_deg <= 0:
-        raise UsageError("--bounds must be positive degrees")
+    if not 0 < bounds_deg < 90:
+        raise UsageError("--bounds must be in (0, 90) degrees")
     return AngleBox.symmetric_deg(bounds_deg)
 
 
-def _ags_config(**kwargs) -> AgsConfig:
+def _checked(make, *args, **kwargs):
     try:
-        return AgsConfig(**kwargs)
-    except ValueError as exc:  # a search setting out of range: an argument, not data
+        return make(*args, **kwargs)
+    except ValueError as exc:  # a setting out of range: an argument, not data
         raise UsageError(str(exc)) from exc
 
 
@@ -148,13 +148,13 @@ def _build_parser() -> _Parser:
 
     ep = sub.add_parser("export-model", parents=[clouds],
                         help="write the MIQCQP text model for a box")
-    ep.add_argument("--f-upper", type=float, default=None,
+    ep.add_argument("--f-upper", type=float, default=np.inf,
                     help="valid upper bound used to reduce pairs before export")
     ep.add_argument("--out", required=True)
 
     rp = sub.add_parser("reduce-stats", parents=[clouds],
                         help="pair-elimination statistics over a box")
-    rp.add_argument("--f-upper", type=float, default=None)
+    rp.add_argument("--f-upper", type=float, default=np.inf)
     rp.add_argument("--out", default=None)
     return p
 
@@ -162,13 +162,9 @@ def _build_parser() -> _Parser:
 def _cmd_synth(args) -> int:
     counts = _parse_floats(args.n, 2, "--n")
     n_hat, n_bar = int(counts[0]), int(counts[1])
-    if args.noise < 0:
-        raise UsageError("--noise must be >= 0")
-    if n_hat < 1 or n_bar < n_hat:
-        raise UsageError("--n must satisfy 1 <= n_hat <= n_bar")
     angles = _angles_arg(args.angles)
-    hat, bar, gt = synth_generate(n_hat, n_bar, angles, args.noise, args.seed,
-                                  object_fraction=args.object_fraction)
+    hat, bar, gt = _checked(synth_generate, n_hat, n_bar, angles, args.noise, args.seed,
+                            object_fraction=args.object_fraction)
     save_fused(hat, args.out + "_hat.txt")
     save_fused(bar, args.out + "_bar.txt")
     save_ground_truth(gt, args.out + "_truth.txt")
@@ -186,7 +182,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_crop(args) -> int:
     vals = _parse_floats(args.box, 6, "--box")
-    box = CropBox(np.array(vals[:3]), np.array(vals[3:]))
+    box = _checked(CropBox, np.array(vals[:3]), np.array(vals[3:]))
     angles = _angles_arg(args.angles)
     if args.decimate < 1:
         raise UsageError("--decimate must be >= 1")
@@ -202,8 +198,8 @@ def _cmd_crop(args) -> int:
 
 
 def _cmd_ags(args) -> int:
-    cfg = _ags_config(n_d=args.nd, t_max=args.tmax, box=_box_arg(args.bounds),
-                      shrink=args.shrink, seed=args.seed, max_rounds=args.rounds)
+    cfg = _checked(AgsConfig, n_d=args.nd, t_max=args.tmax, box=_box_arg(args.bounds),
+                   shrink=args.shrink, seed=args.seed, max_rounds=args.rounds)
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
     t0 = time.monotonic()
@@ -229,14 +225,16 @@ def _cmd_ags(args) -> int:
 
 def _cmd_nsbb(args) -> int:
     box = _box_arg(args.bounds)
-    if args.time_limit is not None and args.time_limit <= 0:
+    if args.time_limit is not None and not args.time_limit > 0:
         raise UsageError("--time-limit must be positive seconds")
-    if args.eps_rel <= 0 or args.eps_abs <= 0:
+    if not (args.eps_rel > 0 and args.eps_abs > 0):
         raise UsageError("--eps-rel and --eps-abs must be positive")
+    if not args.node_time > 0:
+        raise UsageError("--node-time must be positive seconds")
     if args.max_nodes is not None and args.max_nodes < 0:
         raise UsageError("--max-nodes must be >= 0")
-    cfg = None if args.no_ags_init else _ags_config(
-        n_d=args.ags_nd, t_max=args.time_limit or 1e9, box=box, seed=args.seed,
+    cfg = None if args.no_ags_init else _checked(
+        AgsConfig, n_d=args.ags_nd, t_max=args.time_limit or 1e9, box=box, seed=args.seed,
         max_rounds=args.ags_rounds)
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
@@ -312,10 +310,11 @@ def _cmd_apply(args) -> int:
 
 def _root_pairs(args):
     """Clouds, box, --f-upper (default inf) and the box's pairs before and after reduction."""
-    box = _box_arg(args.bounds)
+    box, f_upper = _box_arg(args.bounds), args.f_upper
+    if not f_upper >= 0:
+        raise UsageError("--f-upper must be >= 0")
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
-    f_upper = np.inf if args.f_upper is None else args.f_upper
     pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
     return hat, bar, box, f_upper, pairs, reduce_pairs(pairs, f_upper)
 

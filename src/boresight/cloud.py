@@ -96,7 +96,7 @@ class CropBox:
         mx = np.asarray(self.max, dtype=float)
         if mn.shape != (3,) or mx.shape != (3,):
             raise ValueError("CropBox corners must be 3-vectors")
-        if np.any(mn > mx):
+        if not np.all(mn <= mx):
             raise ValueError("CropBox min must be <= max componentwise")
         object.__setattr__(self, "min", mn)
         object.__setattr__(self, "max", mx)
@@ -282,8 +282,10 @@ def synth_generate(
         raise ValueError("cloud sizes must be >= 1")
     if n_hat > n_bar:
         raise ValueError("n_hat must be <= n_bar")
-    if noise_sigma < 0:
+    if not noise_sigma >= 0:
         raise ValueError("noise_sigma must be >= 0")
+    if not 0 <= object_fraction <= 1:
+        raise ValueError("object_fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
     p_bar, bar_on_object = _sample_surface(rng, n_bar, object_fraction)
     p_hat = p_bar[:n_hat].copy()

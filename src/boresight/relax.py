@@ -36,14 +36,14 @@ POINT_SLACK = 1e-9
 # measured at UTM northings): the pair model's rounding slack allows this many.
 GEOREF_ULPS = 4
 # Points per polytope pass and pairs per lockstep GJK batch: fixed chunks bound
-# peak memory (512/1024 pairs or 64 points add 1.8/2.9/2.5 MB of peak RSS).
+# peak memory (512/1024 pairs add 1.8/2.9 MB of peak RSS; on 30x60 scenes, 2-vCPU
+# VM, 64 points add 3.5 MB for about 8% less nsBB time).
 POINT_CHUNK = 16
 PAIR_CHUNK = 256
 # Pairs per pass of the pair model: on a 100x250 root box (2-vCPU VM) 1024
 # took 52 ms where PAIR_CHUNK took 70, for 0.2 MB more peak memory.
 MODEL_CHUNK = 1024
 
-_VERTEX_DEDUP = 1e-9
 _FEAS_TOL = 5e-10
 # plane triples of an m-plane system; box corners in itertools.product order
 _TRIPLES = {m: np.array(list(itertools.combinations(range(m), 3))) for m in range(3, 17)}
@@ -60,16 +60,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _pad(row: np.ndarray, pts: np.ndarray, n: int, fill: float):
-    """Points grouped by their (sorted) row into an (n, K, 3) array padded with
-    fill; also the count per row and each point's slot."""
-    counts = np.bincount(row, minlength=n)
-    pos = np.arange(row.size) - (np.cumsum(counts) - counts)[row]
-    out = np.full((n, counts.max(initial=0), 3), fill)
-    out[row, pos] = pts
-    return out, counts, pos
-
-
 def _reach_bounds(ri: RotationInterval, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval matrix products of the rotation enclosure with every row of L (n, 3)."""
     lo, hi = ri.lo * L[:, None, :], ri.hi * L[:, None, :]
@@ -81,23 +71,16 @@ class UncertaintyPolytope:
     """Vertex + halfspace form of the convex enclosure of {R @ l} over a box.
 
     Halfspace normals are unit length; a point x is inside iff
-    normals @ x <= offsets (within slack).
+    normals @ x <= offsets (within slack). Every vertex of the hull is listed,
+    some possibly more than once (a zero l has 8 copies of the origin).
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     vertices: np.ndarray
 
-    @property
-    def is_point(self) -> bool:
-        return self.vertices.shape[0] == 1
-
     def contains(self, points: np.ndarray, tol: float = CONTAIN_SLACK) -> np.ndarray:
-        p = np.atleast_2d(points)
-        if self.normals.shape[0] == 0:
-            d = p - self.vertices[0]
-            return np.einsum("ij,ij->i", d, d) <= tol * tol
-        return np.all(p @ self.normals.T <= self.offsets + tol, axis=1)
+        return np.all(np.atleast_2d(points) @ self.normals.T <= self.offsets + tol, axis=1)
 
 
 def _halfspaces(L: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -107,7 +90,7 @@ def _halfspaces(L: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     equality over K (pointing inward), and sphere tangents d @ x <= ||l|| at
     the radial projections of the K centre and of the K corners outside the
     sphere. Returns unit normals (n, 16, 3), offsets (n, 16) and the number
-    of valid planes (n,); a zero l gets none.
+    of valid planes (n,); a zero l gets its box faces only.
     """
     lsq = _dot(L, L)
     lnorm = np.sqrt(lsq)[:, None]
@@ -116,7 +99,7 @@ def _halfspaces(L: np.ndarray, lo: np.ndarray, hi: np.ndarray):
                           np.where(_CORNERS, hi[:, None], lo[:, None])], axis=1)
     norm = np.sqrt(_dot(cut, cut))
     floor = np.concatenate([np.full_like(lnorm, 1e-12), 1e-12 * lnorm, np.repeat(lnorm, 8, 1)], 1)
-    valid = np.concatenate([np.ones((len(L), 6), dtype=bool), norm > floor], 1) & (lnorm > 0)
+    valid = np.concatenate([np.ones((len(L), 6), dtype=bool), norm > floor], 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         normals = np.concatenate([np.broadcast_to(_BOX_NORMALS, (len(L), 6, 3)),
                                   cut / norm[..., None]], axis=1)
@@ -128,26 +111,14 @@ def _halfspaces(L: np.ndarray, lo: np.ndarray, hi: np.ndarray):
             np.take_along_axis(offsets, order, axis=1), valid.sum(axis=1))
 
 
-def _first_of_clusters(row: np.ndarray, pts: np.ndarray, n: int) -> np.ndarray:
-    """Greedy duplicate filter over n rows, in the given order: a point is kept
-    unless it lies within _VERTEX_DEDUP of an earlier kept point of its row."""
-    P, _, pos = _pad(row, pts, n, np.nan)
-    close = np.sum((P[:, :, None] - P[:, None]) ** 2, axis=3) <= _VERTEX_DEDUP**2
-    close &= np.tri(P.shape[1], k=-1, dtype=bool)  # earlier points only
-    kept, dropped = np.zeros((2,) + close.shape[:2], dtype=bool)
-    while not np.all(kept | dropped):
-        undecided = ~(kept | dropped)
-        dropped |= undecided & np.any(close & kept[:, None], axis=2)
-        kept |= undecided & ~np.any(close & ~dropped[:, None], axis=2)
-    return kept[row, pos]
-
-
 def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of {x : A[r] @ x <= b[r]} for a batch of systems of m planes.
 
-    Intersects every plane triple with |det| > 1e-10 by Cramer's rule, keeps
-    the feasible solutions and drops near-duplicates. Returns each vertex's
-    row and the vertices, ordered by row and then lexicographically.
+    Intersects every plane triple with |det| > 1e-10 by Cramer's rule and
+    keeps the feasible solutions. A vertex on more than three planes comes
+    once per triple through it: GJK's hull distance is the same with the
+    copies. Returns each vertex's row and the vertices, ordered by row and
+    then lexicographically.
 
     For the triple (i, j, k), Cramer's rule x = (b_i a_j x a_k + b_j a_k x a_i
     + b_k a_i x a_j) / det is written relative to the middle plane: with
@@ -172,9 +143,7 @@ def _vertices(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok &= np.all(X @ A.transpose(0, 2, 1) <= b[:, None, :] + _FEAS_TOL, axis=2)
     row, pts = np.nonzero(ok)[0], X[ok]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], row))
-    row, pts = row[order], pts[order]
-    keep = _first_of_clusters(row, pts, len(A))
-    return row[keep], pts[keep]
+    return row[order], pts[order]
 
 
 def _polytopes(L: np.ndarray, ri: RotationInterval):
@@ -184,8 +153,8 @@ def _polytopes(L: np.ndarray, ri: RotationInterval):
     go through _vertices together, in chunks."""
     lo, hi = _reach_bounds(ri, L)
     A, b, m = _halfspaces(L, lo, hi)
-    rows, pts = [np.flatnonzero(m == 0)], [np.zeros((int(np.sum(m == 0)), 3))]
-    for mm in np.unique(m[m > 0]):
+    rows, pts = [np.zeros(0, dtype=int)], [np.zeros((0, 3))]
+    for mm in np.unique(m):
         idx = np.flatnonzero(m == mm)
         for s in _chunks(idx.size, POINT_CHUNK):
             r, p = _vertices(A[idx[s], :mm], b[idx[s], :mm])
@@ -193,15 +162,17 @@ def _polytopes(L: np.ndarray, ri: RotationInterval):
             pts.append(p)
     # numerically over-tight cuts leave no vertex: fall back to the box alone,
     # still a valid enclosure, whose 8 corners always pass
-    row = np.concatenate(rows)
-    empty = np.flatnonzero(np.bincount(row, minlength=len(L)) == 0)
+    empty = np.flatnonzero(np.bincount(np.concatenate(rows), minlength=len(L)) == 0)
     if empty.size:
         m[empty] = 6
         r, p = _vertices(A[empty, :6], b[empty, :6])
-        row = np.concatenate([row, empty[r]])
+        rows.append(empty[r])
         pts.append(p)
+    row = np.concatenate(rows)
     order = np.argsort(row, kind="stable")
-    V, nv, _ = _pad(row[order], np.concatenate(pts)[order], len(L), 0.0)
+    row, nv = row[order], np.bincount(row, minlength=len(L))
+    V = np.zeros((len(L), nv.max(initial=0), 3))
+    V[row, np.arange(row.size) - (np.cumsum(nv) - nv)[row]] = np.concatenate(pts)[order]
     center = V.sum(axis=1) / nv[:, None]
     V = np.where((np.arange(V.shape[1]) < nv[:, None])[..., None], V, center[:, None])
     return A, b, m, V, nv, center

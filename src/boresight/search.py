@@ -61,7 +61,7 @@ class AgsConfig:
             raise ValueError("n_d must be >= 1")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must be in (0, 1)")
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise ValueError("t_max must be > 0")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")

@@ -70,6 +70,20 @@ class TestSynth:
                          "--out", str(tmp_path / "x"))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--object-fraction", "1.5"], "object_fraction must be in [0, 1]"),
+        (["--object-fraction", "-0.1"], "object_fraction must be in [0, 1]"),
+        (["--object-fraction", "nan"], "object_fraction must be in [0, 1]"),
+        (["--noise", "nan"], "noise_sigma must be >= 0"),
+        (["--n", "0,10"], "cloud sizes must be >= 1"),
+    ])
+    def test_invalid_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
+        code, _, err = run(capsys, "synth", "--n", "5,10", "--angles", "0,0,0", *argv,
+                           "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestCrop:
     def test_crop_object_region(self, synth_files, tmp_path, capsys):
@@ -100,6 +114,8 @@ class TestCrop:
         (["--decimate", "0"], "--decimate must be >= 1"),
         (["--decimate", "-2"], "--decimate must be >= 1"),
         (["--angles", "1,2"], "--angles: expected 3 comma-separated values, got 2"),
+        (["--box", "1,1,1,0,0,0"], "CropBox min must be <= max componentwise"),
+        (["--box", "0,0,0,1,nan,1"], "CropBox min must be <= max componentwise"),
     ])
     def test_invalid_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
         """Checked before the input is read: a missing file is not reached."""
@@ -172,6 +188,7 @@ class TestAgs:
         (["--shrink", "1.5"], "shrink must be in (0, 1)"),
         (["--rounds", "0"], "max_rounds must be >= 1"),
         (["--rounds", "-3"], "max_rounds must be >= 1"),
+        (["--tmax", "nan"], "t_max must be > 0"),
     ])
     def test_invalid_search_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
         hat, bar, _ = synth_files
@@ -277,6 +294,11 @@ class TestNsbb:
         (["--eps-abs", "-1"], "--eps-rel and --eps-abs must be positive"),
         (["--ags-rounds", "0"], "max_rounds must be >= 1"),
         (["--max-nodes", "-1"], "--max-nodes must be >= 0"),
+        (["--eps-rel", "nan"], "--eps-rel and --eps-abs must be positive"),
+        (["--node-time", "-5"], "--node-time must be positive seconds"),
+        (["--node-time", "nan"], "--node-time must be positive seconds"),
+        (["--bounds", "200"], "--bounds must be in (0, 90) degrees"),
+        (["--bounds", "90"], "--bounds must be in (0, 90) degrees"),
     ])
     def test_invalid_solver_arguments_are_usage_errors(self, synth_files, capsys, argv, message):
         hat, bar, _ = synth_files
@@ -312,6 +334,18 @@ class TestExportModel:
         assert len(model.binaries()) == int(kv["n_binaries"])
         assert len(model.constraints) == int(kv["n_constraints"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--f-upper", "-1"], "--f-upper must be >= 0"),
+        (["--f-upper", "nan"], "--f-upper must be >= 0"),
+        (["--bounds", "200"], "--bounds must be in (0, 90) degrees"),
+    ])
+    def test_invalid_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
+        """Checked before the inputs are read: a missing file is not reached."""
+        code, _, err = run(capsys, "export-model", "--hat", "/nope.txt", "--bar", "/nope.txt",
+                           *argv, "--out", str(tmp_path / "model.miqcqp"))
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+
 
 class TestReduceStats:
     def test_counts_are_consistent(self, synth_files, capsys):
@@ -326,6 +360,24 @@ class TestReduceStats:
         assert before == 20 * 40
         assert before - removed == after
         assert after < before  # a tight valid bound must eliminate pairs
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--f-upper", "-1"], "--f-upper must be >= 0"),
+        (["--f-upper", "nan"], "--f-upper must be >= 0"),
+        (["--bounds", "0"], "--bounds must be in (0, 90) degrees"),
+    ])
+    def test_invalid_arguments_are_usage_errors(self, capsys, argv, message):
+        """Checked before the inputs are read: a missing file is not reached."""
+        code, _, err = run(capsys, "reduce-stats", "--hat", "/nope.txt", "--bar", "/nope.txt",
+                           *argv)
+        assert code == EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+
+    def test_default_f_upper_is_inf(self, synth_files, capsys):
+        hat, bar, _ = synth_files
+        code, out, _ = run(capsys, "reduce-stats", "--hat", hat, "--bar", bar)
+        assert code == EXIT_OK
+        assert parse_report(out)["f_upper"] == "inf"
 
 
 class TestUsage:

@@ -75,15 +75,20 @@ class TestReachBox:
 
 class TestBuildPolytope:
     def test_degenerate_angle_box_single_vertex(self):
+        """Every vertex, and so the hull, lies at the one reachable point R @ l."""
         a = EulerAngles(0.01, -0.02, 0.005)
         l = np.array([5.0, 1.0, -2.0])
         poly = build_polytope(l, degenerate_box(a))
-        assert poly.is_point
-        assert np.allclose(poly.vertices[0], rotation_from_angles(a) @ l, atol=1e-9)
+        assert np.abs(poly.vertices - rotation_from_angles(a) @ l).max() <= 1e-9
 
     def test_zero_vector_gives_origin(self):
+        """A zero l keeps its reach box alone: six faces through the origin,
+        whose eight corners all sit there."""
         poly = build_polytope(np.zeros(3), AngleBox.symmetric_deg(2.0))
-        assert poly.is_point and np.allclose(poly.vertices, 0.0)
+        assert poly.normals.shape == (6, 3) and poly.vertices.shape == (8, 3)
+        assert np.all(poly.vertices == 0.0)
+        assert poly.contains(np.zeros(3), tol=0.0).all()
+        assert not poly.contains(np.eye(3) * 2 * CONTAIN_SLACK).any()
 
     def test_vertices_satisfy_halfspaces(self):
         poly = build_polytope([10.0, -20.0, 5.0], AngleBox.symmetric_deg(2.0))
@@ -319,15 +324,6 @@ class TestRootModelBounds:
         assert_brackets_the_grid(ps, hat, bar, box)
 
 
-def greedy_dedup(pts, tol):
-    """Oracle: keep a point unless it lies within tol of an earlier kept one."""
-    kept = []
-    for p in pts:
-        if all(np.sum((p - q) ** 2) > tol**2 for q in kept):
-            kept.append(p)
-    return kept
-
-
 class TestBatchedPolytopes:
     def test_mixed_batch_properties(self):
         """One batch, more rows than one point chunk, holding l = 0 and points
@@ -338,9 +334,9 @@ class TestBatchedPolytopes:
         L = np.vstack([np.zeros(3), rng.normal(scale=20.0, size=(40, 3)), [[0.0, 0.0, -30.0]]])
         assert len(L) > POINT_CHUNK
         A, b, m, V, nv, center = relax._polytopes(L, rotation_interval(box))
-        assert m[0] == 0 and nv[0] == 1 and np.all(V[0] == 0.0)
+        assert m[0] == 6 and nv[0] == 8 and np.all(V[0] == 0.0)
         assert len(set(m[1:].tolist())) > 1
-        for k in range(1, len(L)):
+        for k in range(len(L)):
             verts = V[k, : nv[k]]
             assert np.all(verts @ A[k, : m[k]].T <= b[k, : m[k]] + 1e-8)
             assert np.all(V[k, nv[k]:] == center[k])  # padding sits at the centre
@@ -351,12 +347,14 @@ class TestBatchedPolytopes:
             assert single.contains(pts, tol=CONTAIN_SLACK).all()
 
     def test_degenerate_box_batch_is_exact(self):
+        """Every vertex, the padding and the centre of each row lie at R @ l."""
         a = EulerAngles(0.01, -0.02, 0.005)
         L = np.array([[5.0, 1.0, -2.0], [0.0, 0.0, 0.0], [-40.0, 3.0, 12.0]])
         _, _, _, V, nv, center = relax._polytopes(L, rotation_interval(degenerate_box(a)))
-        assert np.all(nv == 1)
-        assert np.allclose(V[:, 0], L @ rotation_from_angles(a).T, atol=1e-9)
-        assert np.all(center == V[:, 0])
+        exact = L @ rotation_from_angles(a).T
+        assert np.all(nv >= 1)
+        assert np.abs(V - exact[:, None]).max() <= 1e-9
+        assert np.abs(center - exact).max() <= 1e-9
 
     def test_vertex_pass_never_gets_an_empty_batch(self, small_scene, monkeypatch):
         """Only systems that have rows reach _vertices: the box-only fallback
@@ -395,29 +393,11 @@ class TestBatchedPolytopes:
             d = np.linalg.norm(V[k][:, None] - corners[None], axis=2)
             assert d.min(axis=0).max() <= 1e-9 and d.min(axis=1).max() <= 1e-9
 
-    def test_dedup_keeps_greedy_semantics(self):
-        # chains a ~ b ~ c with a !~ c: greedy keeps a, drops b, keeps c
-        rng = np.random.default_rng(32)
-        tol = relax._VERTEX_DEDUP
-        rows, pts = [], []
-        for r in range(6):
-            base = rng.normal(size=(5, 3))
-            chain = base[0] + np.outer(np.arange(4), [0.6 * tol, 0.0, 0.0])
-            cluster = base[1] + rng.uniform(-0.4 * tol, 0.4 * tol, size=(3, 3))
-            p = np.vstack([base, chain, cluster])
-            p = p[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))]
-            rows.append(np.full(len(p), r))
-            pts.append(p)
-        row, pt = np.concatenate(rows), np.vstack(pts)
-        keep = relax._first_of_clusters(row, pt, 6)
-        for r in range(6):
-            assert np.array_equal(pt[keep & (row == r)], np.array(greedy_dedup(pts[r], tol)))
-
 
 def lu_vertices(A, b):
     """Oracle: every plane triple with |det| > 1e-10 solved by LU
     (np.linalg.det, np.linalg.solve), the same feasibility test, then
-    lexicographic order and the greedy dedup, row by row."""
+    lexicographic order, row by row."""
     combos = relax._TRIPLES[A.shape[1]]
     A3, b3 = A[:, combos], b[:, combos]
     ok = np.abs(np.linalg.det(A3)) > 1e-10
@@ -427,7 +407,7 @@ def lu_vertices(A, b):
     rows = []
     for x, k in zip(X, ok):
         pts = x[k][np.lexsort((x[k][:, 2], x[k][:, 1], x[k][:, 0]))]
-        rows.append(np.array(greedy_dedup(pts, relax._VERTEX_DEDUP)).reshape(-1, 3))
+        rows.append(pts)
     return rows
 
 
@@ -467,14 +447,18 @@ class TestClosedFormVertices:
 
     def test_four_or_more_planes_per_vertex(self):
         """An octahedron (four planes at each vertex) and a square pyramid
-        (four distinct planes at the apex, each given twice), cut by the cube."""
+        (four distinct planes at the apex, each given twice), cut by the cube:
+        a vertex comes once per triple through it, at one point within 1e-9."""
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
         octa = cube_planes(signs / np.sqrt(3.0), np.full(8, 1.0 / np.sqrt(3.0)))
         sides = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]) / np.sqrt(2.0)
         pyramid = cube_planes(np.vstack([sides, sides]), np.full(8, 0.5 / np.sqrt(2.0)))
         A, b = (np.stack(v) for v in zip(octa, pyramid))
-        row, _ = relax._vertices(A, b)
-        assert np.array_equal(np.bincount(row), [6, 9])
+        row, pts = relax._vertices(A, b)
+        near = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= 1e-9
+        first = ~np.any(np.tril(near & (row[:, None] == row[None]), k=-1), axis=1)
+        assert np.array_equal(np.bincount(row[first]), [6, 9])
+        assert np.all(np.bincount(row) > [6, 9])
         self.assert_matches_lu(A, b)
 
     @pytest.mark.parametrize("half_deg", [2.0, 0.1, 0.01])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boresight import spatial
+from boresight import relax, spatial
 from boresight.relax import CONTAIN_SLACK, PAIR_CHUNK
+from boresight.rotation import AngleBox, rotation_interval
 from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_min_sq_dist, max_vertex_sq_dist
 
 
@@ -332,3 +333,49 @@ class TestNewestFaceStep:
         assert np.all(capped <= qp + 1e-12)
         assert np.all(capped <= converged + 1e-12)
         assert np.any(capped < converged - 1e-3)  # the cap did cut some pairs short
+
+
+class TestRepeatedVertices:
+    """GJK reads a vertex list as its convex hull, which a repeated vertex
+    does not change: the polytope pass hands it vertex lists that may hold
+    one vertex several times, as often as plane triples meet there."""
+
+    @staticmethod
+    def stacks():
+        """gjk_stacks' degenerate pairs, and a pair of enclosure polytopes of
+        one narrow box (their vertices cluster within nanometres)."""
+        pairs = gjk_stacks(np.random.default_rng(43))
+        A = padded([np.asarray(a, dtype=float) for a, _ in pairs])
+        B = padded([np.asarray(b, dtype=float) for _, b in pairs])
+        L = np.random.default_rng(44).normal(scale=30.0, size=(2, 3))
+        box = AngleBox.from_arrays(np.full(3, -1e-6), np.full(3, 1e-6))
+        V = relax._polytopes(L, rotation_interval(box))[3]
+        A2, B2 = V[:1], V[1:] + (L[0] - L[1] + 0.05)  # 9 cm apart
+        return pairs + list(zip(A2, B2)), [A, A2], [B, B2]
+
+    @pytest.mark.parametrize("copies", ["repeated", "appended"])
+    def test_exact_copies_give_bitwise_equal_distances(self, copies):
+        def with_copies(V):
+            return np.repeat(V, 2, axis=1) if copies == "repeated" else np.concatenate(
+                [V, V[:, ::-1], V[:, :2]], axis=1)
+
+        _, As, Bs = self.stacks()
+        for A, B in zip(As, Bs):
+            assert np.array_equal(hull_min_sq_dist(with_copies(A), with_copies(B)),
+                                  hull_min_sq_dist(A, B))
+
+    def test_near_duplicates_stay_within_the_oracle(self, qp_min_sq_dist):
+        """Every vertex gets a twin at most 1e-9 m away."""
+        rng = np.random.default_rng(45)
+        pairs, As, Bs = self.stacks()
+
+        def with_twins(V):
+            step = rng.normal(size=V.shape)
+            step *= rng.uniform(0.0, 1e-9, V.shape[:2] + (1,)) / np.linalg.norm(step, axis=2,
+                                                                                  keepdims=True)
+            return np.concatenate([V, V + step], axis=1)
+
+        lo = np.concatenate([hull_min_sq_dist(with_twins(A), with_twins(B))
+                             for A, B in zip(As, Bs)])
+        qp = np.array([qp_min_sq_dist(a, b) for a, b in pairs])
+        assert np.abs(lo - qp).max() <= 1e-6
