@@ -38,18 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_numbers(text: str, n: int, what: str, kind=float) -> list:
     parts = text.split(",")
     if len(parts) != n:
         raise UsageError(f"{what}: expected {n} comma-separated values, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"{what}: {exc}") from exc
 
 
 def _angles_arg(text: str) -> EulerAngles:
-    a, b, g = _parse_floats(text, 3, "--angles")
+    a, b, g = _parse_numbers(text, 3, "--angles")
     return EulerAngles.from_degrees(a, b, g)
 
 
@@ -160,8 +160,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    counts = _parse_floats(args.n, 2, "--n")
-    n_hat, n_bar = int(counts[0]), int(counts[1])
+    n_hat, n_bar = _parse_numbers(args.n, 2, "--n", kind=int)
     angles = _angles_arg(args.angles)
     hat, bar, gt = _checked(synth_generate, n_hat, n_bar, angles, args.noise, args.seed,
                             object_fraction=args.object_fraction)
@@ -181,7 +180,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_crop(args) -> int:
-    vals = _parse_floats(args.box, 6, "--box")
+    vals = _parse_numbers(args.box, 6, "--box")
     box = _checked(CropBox, np.array(vals[:3]), np.array(vals[3:]))
     angles = _angles_arg(args.angles)
     if args.decimate < 1:
@@ -278,6 +277,9 @@ def _cmd_nsbb(args) -> int:
         ("nodes_finalized", report.nodes_finalized),
         ("pairs_root", report.pairs_root),
         ("pairs_eliminated", report.pairs_eliminated),
+        ("cut_passes", report.cut_passes),
+        ("boxes_emptied", report.boxes_emptied),
+        ("cut_volume_frac", repr(report.cut_volume_frac)),
     ] + _angles_report(report.incumbent.angles) + [
         ("ags_time_s", t_ags),
         ("nsbb_time_s", report.wall_time),

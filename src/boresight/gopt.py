@@ -16,10 +16,20 @@ from .reduce import PairSet, reduce_pairs
 from .relax import _pair_model, compute_pair_set
 from .rotation import AngleBox
 from .search import Evaluation, evaluate_ub
-from .spatial import _clipped_solve
+from .spatial import _clipped_solve, _cross
 
 MIN_BOX_WIDTH = 1e-7  # radians; axes narrower than this are not split
 GAP_DENOM_EPS = 1e-9
+# A child box's contraction ends with the first cut that shrinks no axis by
+# more than this share of its width.
+CUT_MIN_SHRINK = 0.1
+# The cut's squared radius and half-widths are widened by this factor and
+# then this much (radians^2, radians) for rounding.
+CUT_REL_SLACK = 1e-6
+CUT_ABS_SLACK = 1e-12
+# H = A^T A counts as near-singular, and makes no cut, when det H is at most
+# this share of the product of its diagonal (Hadamard: that product bounds det H).
+CUT_MIN_DET = 1e-9
 # every axis free (0), at its lower (1) or at its upper bound (2): the active
 # sets of a 3-variable box-constrained problem
 _ACTIVE_SETS = np.array(list(itertools.product(range(3), repeat=3)))
@@ -67,7 +77,20 @@ def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarr
     return _clipped_solve(M, rhs, hw)
 
 
-def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -> float:
+def single_partner_model(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud):
+    """(M, model): M = sum over the hat points with several surviving
+    partners of min_j c_lo, and the pair model (b, A, rho) of _pair_model on
+    the pairs of the points with exactly one, None when there are none."""
+    counts = np.bincount(pairs.i, minlength=pairs.n_hat)
+    multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
+    single = counts[pairs.i] == 1
+    if not single.any():
+        return multi, None
+    return multi, _pair_model(hat, bar, pairs.i[single], pairs.j[single], box)
+
+
+def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud,
+                        model=None) -> float:
     """Lower bound that shares one rotation among the points with a single
     surviving partner.
 
@@ -79,15 +102,14 @@ def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -
     of its linearisation g0 + J d (_pair_model). With Q the minimum of
     sum ||g0 + J d||^2 over the box, the bound is (sqrt(Q) - ||rho||)_+^2 + M
     (Minkowski). Q is certified from a candidate minimiser by the convexity
-    cut, so its accuracy does not matter.
+    cut, so its accuracy does not matter. model is single_partner_model of
+    the same pairs and box, formed here when not given.
     """
-    counts = np.bincount(pairs.i, minlength=pairs.n_hat)
-    multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
-    single = counts[pairs.i] == 1
-    if not single.any():
+    multi, single = single_partner_model(pairs, box, hat, bar) if model is None else model
+    if single is None:
         return multi
     hw = 0.5 * box.widths()
-    b, A, rho = _pair_model(hat, bar, pairs.i[single], pairs.j[single], box)
+    b, A, rho = single
     cands = _box_qp_candidates(A.T @ A, A.T @ b, hw)
     res = A @ cands.T + b[:, None]
     k = np.argmin(np.einsum("rc,rc->c", res, res))
@@ -97,6 +119,47 @@ def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud) -
     return max(0.0, math.sqrt(q) - math.sqrt(float(rho @ rho))) ** 2 + multi
 
 
+def ellipsoid_cut(box: AngleBox, multi: float, single, f_upper: float):
+    """The box cut to the bounding box of the coupled bound's ellipsoid, as
+    (lows, highs): some low lies above its high when no angle of the box can
+    have f <= f_upper. None when no cut is made: fewer than 3 single-partner
+    points, or a near-singular H (CUT_MIN_DET).
+
+    (multi, single) is single_partner_model of reduced pairs over the box, at
+    an upper bound of at least f_upper. By coupled_lower_bound's argument,
+    every c + d in the box with f(c + d) <= f_upper has M <= f_upper and
+    Q(d) = ||b + A d||^2 <= r^2, with r = sqrt(f_upper - M) + ||rho||. With
+    H = A^T A and d* = -H^-1 A^T b, Q(d) = Q(d*) + (d - d*)^T H (d - d*), so
+    |d_k - d*_k| <= sqrt((r^2 - Q(d*)) (H^-1)_kk). H^-1 is the adjugate over
+    the determinant. d* is refined by one step from the residual's gradient,
+    whose share of Q(d*) is taken off exactly; r^2 and the half-widths are
+    widened for rounding (CUT_REL_SLACK, CUT_ABS_SLACK).
+    """
+    lows, highs = box.lows(), box.highs()
+    if multi > f_upper:
+        return highs, lows
+    if single is None or single[2].size < 3:
+        return None
+    b, A, rho = single
+    H = A.T @ A
+    adj = _cross(H[[1, 2, 0]], H[[2, 0, 1]])  # rows H1 x H2, H2 x H0, H0 x H1
+    det = float(H[0] @ adj[0])
+    if not det > CUT_MIN_DET * np.prod(np.diag(H)):
+        return None
+    inv = adj / det
+    d = -inv @ (A.T @ b)
+    res = b + A @ d
+    g = A.T @ res  # zero but for rounding; the minimiser is d - inv @ g
+    q = float(res @ res - g @ inv @ g)
+    r = math.sqrt(f_upper - multi) + math.sqrt(float(rho @ rho))
+    slack = r * r * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK - q
+    if slack < 0.0:
+        return highs, lows
+    half = np.sqrt(slack * np.diag(inv)) * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK
+    centre = 0.5 * (lows + highs) + d - inv @ g
+    return np.maximum(lows, centre - half), np.minimum(highs, centre + half)
+
+
 def node_lower_bound(
     node: Node,
     hat: Cloud,
@@ -104,18 +167,24 @@ def node_lower_bound(
     solver_cmd: str | None = None,
     t_max: float = 30.0,
     node_upper: float = np.inf,
+    model=None,
 ) -> float:
     """Lower bound for the node's box: the largest of node.lower (the parent's
     bound, so bounds are monotone by construction), the per-point and the
-    coupled bound.
+    coupled bound (model: single_partner_model of the node's pairs and box,
+    formed here when not given).
 
     With solver_cmd, the external solver's bound on the node's MIQCQP model
-    is used where it is larger. node_upper is the objective at some angle in
-    the node box (the solver passes the box midpoint's), so no valid lower
-    bound exceeds it; an external bound above it is rejected.
+    is used where it is larger. An external bound above node_upper is
+    rejected. node_upper is the objective at some angle in the node box, or
+    at least the incumbent f_upper: the solver passes the objective at the
+    midpoint of the box before contraction, which the incumbent does not
+    exceed. A box that still holds an angle with f <= f_upper has its minimum
+    at or below it, so no valid lower bound exceeds it; a box that holds none
+    is pruned whatever its bound.
     """
     value = max(node.lower, builtin_lower_bound(node.pairs),
-                coupled_lower_bound(node.pairs, node.box, hat, bar))
+                coupled_lower_bound(node.pairs, node.box, hat, bar, model))
     if solver_cmd is not None:
         external = external_lower_bound(hat, bar, node.pairs, node.box, solver_cmd,
                                         t_max, node_upper)
@@ -134,10 +203,15 @@ class SolveReport:
     converged_by: str = ""
     nodes_explored: int = 0
     nodes_pruned_bound: int = 0
+    # boxes where no angle can be at or below f_upper: reduction left a hat
+    # point without partners, or a cut emptied them (boxes_emptied of them)
     nodes_pruned_infeasible: int = 0
     nodes_finalized: int = 0
     pairs_root: int = 0
     pairs_eliminated: int = 0
+    cut_passes: int = 0  # pair-set passes over a cut child box
+    boxes_emptied: int = 0
+    cut_volume_frac: float = 0.0  # share of the child boxes' volume that cuts removed
     bound_log: list[tuple[float, float]] = field(default_factory=list)
     prune_log: list[tuple[AngleBox, float]] = field(default_factory=list)
     wall_time: float = 0.0
@@ -164,10 +238,17 @@ def nsbb_solve(
     Every box, the root included, is bounded the same way: evaluate its
     midpoint (incumbent update), re-tighten and reduce the parent's pair set,
     compute a lower bound (with solver_cmd, also the external solver's, see
-    node_lower_bound), then prune or enqueue it. A popped node is bisected
-    into up to 8 children, all evaluated before any is pruned. Terminates when
-    the relative or absolute bound gap closes, the queue empties, or a
-    node/time budget (checked before the root box and each child box) is hit.
+    node_lower_bound), then prune or enqueue it. A child box is contracted
+    before its bound: cut to the bounding box of the coupled bound's
+    ellipsoid (ellipsoid_cut), its pairs re-tightened and reduced over the cut
+    box, and cut again, until a cut shrinks no axis by more than
+    CUT_MIN_SHRINK of its width; that last cut is not applied, so the bound
+    shares its pair set and single-partner model. The cuts drop only angles
+    whose objective exceeds the incumbent. A box that a cut empties is pruned.
+    A popped node is bisected into up to 8 children, all evaluated before any
+    is pruned. Terminates when the relative or absolute bound gap closes, the
+    queue empties, or a node/time budget (checked before the root box and
+    each child box) is hit.
     """
     if len(hat) == 0 or len(bar) == 0:
         raise SolverError("clouds must be non-empty")
@@ -179,6 +260,7 @@ def nsbb_solve(
     queue: list[tuple[float, float, int, Node]] = []  # keyed on (lower, -volume, push count)
     pushes = itertools.count()
     closed_lower = np.inf  # min lower bound among finalized (unbranchable) nodes
+    child_volume = cut_volume = 0.0  # of the bounded child boxes, and what cuts removed
 
     def evaluate_midpoint(box: AngleBox) -> Evaluation:
         """The objective at the box midpoint; it replaces the incumbent if lower."""
@@ -187,17 +269,43 @@ def nsbb_solve(
             rep.incumbent, rep.f_upper = ev, ev.objective
         return ev
 
-    def bound(box: AngleBox, ev: Evaluation, pairs: PairSet | None, lower: float) -> Node:
-        """Re-tighten and reduce the parent's pairs (None: the dense root set)
-        over the box and bound it, from at least the parent's bound `lower`."""
+    def tighten(box: AngleBox, pairs: PairSet | None):
+        """The pairs (None: the dense root set) re-tightened over the box, and reduced."""
         tight = compute_pair_set(hat, bar, box, pairs, f_upper=rep.f_upper)
         red = reduce_pairs(tight, rep.f_upper)
+        rep.pairs_eliminated += red.removed_total
+        return tight, red
+
+    def bound(box: AngleBox, ev: Evaluation, pairs: PairSet | None, lower: float) -> Node:
+        """Re-tighten and reduce the parent's pairs (None: the dense root set)
+        over the box, contract a child box, and bound it, from at least the
+        parent's bound `lower`."""
+        nonlocal child_volume, cut_volume
+        tight, red = tighten(box, pairs)
+        model, empty = None, False
         if pairs is None:
             rep.pairs_root = tight.size
-        rep.pairs_eliminated += red.removed_total
+        else:
+            volume = box.volume()
+            while not red.infeasible:
+                model = single_partner_model(red.pairs, box, hat, bar)
+                cut = ellipsoid_cut(box, *model, rep.f_upper)
+                if cut is None:
+                    break
+                lows, highs = cut
+                empty = bool(np.any(lows > highs))
+                widths = box.widths()
+                if empty or not np.any(widths - (highs - lows) > CUT_MIN_SHRINK * widths):
+                    break
+                box, model = AngleBox.from_arrays(lows, highs), None
+                rep.cut_passes += 1
+                red = tighten(box, red.pairs)[1]
+            rep.boxes_emptied += empty
+            child_volume += volume
+            cut_volume += volume - (0.0 if empty else box.volume())
         node = Node(box=box, pairs=red.pairs, lower=lower)
-        node.lower = np.inf if red.infeasible else node_lower_bound(
-            node, hat, bar, solver_cmd, node_time, node_upper=ev.objective)
+        node.lower = np.inf if red.infeasible or empty else node_lower_bound(
+            node, hat, bar, solver_cmd, node_time, node_upper=ev.objective, model=model)
         return node
 
     def push_or_prune(node: Node) -> None:
@@ -270,5 +378,6 @@ def nsbb_solve(
     rep.converged_by = reason
     rep.gap_abs = rep.f_upper - rep.f_lower
     rep.gap_rel = relative_gap(rep.f_upper, rep.f_lower)
+    rep.cut_volume_frac = cut_volume / child_volume if child_volume > 0 else 0.0
     rep.wall_time = time.monotonic() - t0
     return rep

@@ -6,10 +6,8 @@ the interval box K from the rotation enclosure, intersected with sphere
 tangent cuts (from above) and the box secant of the norm equality (from
 below).
 
-compute_pair_set bounds every pair of a box from the pair's linearised model;
-where those bounds could still change a reduction decision, the distance
-between the two points' polytopes (GJK) raises the lower bound. It works per
-box, in vectorised passes over fixed chunks of points and pairs.
+compute_pair_set bounds every pair of a box from the pair's linearised model,
+in vectorised passes over fixed chunks of pairs.
 """
 
 from __future__ import annotations
@@ -23,25 +21,22 @@ from .cloud import Cloud
 from .reduce import PairSet
 from .rotation import (AngleBox, RotationInterval, rotation_from_angles, rotation_interval,
                        rotation_jacobian)
-from .spatial import _clipped_solve, _cross, hull_min_sq_dist
+from .spatial import _clipped_solve, _cross
 # single-pair bounds re-exported under this module, where bench/tracer.py wraps them
 from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as max_vertex_sq_dist
 
-# All containment checks carry this absolute slack (meters); polytope bounds
-# are widened by it so pruning stays conservative. The pair model is exact up
-# to rounding on a single angle and gets a much smaller widening.
+# All containment checks carry this absolute slack (meters). The pair model is
+# exact up to rounding on a single angle and gets a much smaller widening.
 CONTAIN_SLACK = 1e-6
 POINT_SLACK = 1e-9
 # Georeferenced pair offsets are off by at most 2 sqrt(3) ulps of max|s| (1.0
 # measured at UTM northings): the pair model's rounding slack allows this many.
 GEOREF_ULPS = 4
-# Points per polytope pass and pairs per lockstep GJK batch: fixed chunks bound
-# peak memory (512/1024 pairs add 1.8/2.9 MB of peak RSS; on 30x60 scenes, 2-vCPU
-# VM, 64 points add 3.5 MB for about 8% less nsBB time).
+# Points per polytope pass: a fixed chunk bounds peak memory (on 30x60 scenes,
+# 2-vCPU VM, 64 points add 3.5 MB of peak RSS).
 POINT_CHUNK = 16
-PAIR_CHUNK = 256
 # Pairs per pass of the pair model: on a 100x250 root box (2-vCPU VM) 1024
-# took 52 ms where PAIR_CHUNK took 70, for 0.2 MB more peak memory.
+# took 52 ms where 256 took 70, for 0.2 MB more peak memory.
 MODEL_CHUNK = 1024
 
 _FEAS_TOL = 5e-10
@@ -184,15 +179,6 @@ def build_polytope(l: np.ndarray, box: AngleBox) -> UncertaintyPolytope:
     return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]])
 
 
-def _world_polytopes(cloud: Cloud, ids: np.ndarray, ri: RotationInterval):
-    """Polytopes of the listed points placed by their INS pose: world centres
-    and vertices relative to the centre (padding sits at the centre)."""
-    _, _, _, V, _, c = _polytopes(cloud.l[ids], ri)
-    R = cloud.ins_rotation[ids]
-    return (cloud.s[ids] + np.einsum("nij,nj->ni", R, c),
-            np.einsum("nij,nkj->nki", R, V - c[:, None]))
-
-
 def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
                 box: AngleBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The offsets g_ij(c + d) = b + A d + e of pairs (i, j) around the box
@@ -252,31 +238,13 @@ def compute_pair_set(
     One pass bounds every pair from its pair model (_model_c_lo, _model_c_hi),
     in chunks of MODEL_CHUNK pairs: all pairs without a PairSet (the root box),
     else the given candidates, whose old bounds are intersected with the new
-    ones, which keeps bounds monotone for nested boxes. The root returns with
-    those bounds, and so does a box that they prune (sum_i min_j c_lo >
-    f_upper). Any other box raises c_lo, never c_hi, to the GJK distance
-    between the pair's two polytopes less CONTAIN_SLACK, on the pairs that
-    could still change a reduction decision: c_lo <= f_upper and
-    c_lo <= min_k c_hi_ik.
+    ones, which keeps bounds monotone for nested boxes. No polytope is built.
+    The bounds hold whatever the incumbent, so f_upper changes none of them.
     """
-    root = pairs is None
-    out = (PairSet.dense(len(hat), len(bar)) if root
+    out = (PairSet.dense(len(hat), len(bar)) if pairs is None
            else replace(pairs, c_lo=pairs.c_lo.copy(), c_hi=pairs.c_hi.copy()))
     for s in _chunks(out.size, MODEL_CHUNK):
         model = _pair_model(hat, bar, out.i[s], out.j[s], box)
         out.c_hi[s] = np.minimum(out.c_hi[s], _model_c_hi(*model, box))
         out.c_lo[s] = np.minimum(np.maximum(out.c_lo[s], _model_c_lo(*model, box)), out.c_hi[s])
-    if root or out.min_c_lo_per_i().sum() > f_upper:
-        return out
-    refine = np.flatnonzero((out.c_lo <= f_upper) & (out.c_lo <= out.min_c_hi_per_i()[out.i]))
-    ri = rotation_interval(box)
-    hat_ids, i_arr = np.unique(out.i[refine], return_inverse=True)  # i_arr, j_arr index the ids
-    bar_ids, j_arr = np.unique(out.j[refine], return_inverse=True)
-    hc, hv = _world_polytopes(hat, hat_ids, ri)
-    bc, bv = _world_polytopes(bar, bar_ids, ri)
-    for s in _chunks(refine.size, PAIR_CHUNK):
-        p, i, j = refine[s], i_arr[s], j_arr[s]
-        # both hulls relative to the hat polytope's centre
-        lo = hull_min_sq_dist(hv[i], bv[j] + (bc[j] - hc[i])[:, None])
-        out.c_lo[p] = np.minimum(np.maximum(out.c_lo[p], lo - CONTAIN_SLACK), out.c_hi[p])
     return out

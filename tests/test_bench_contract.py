@@ -39,8 +39,10 @@ def test_one_node_solve_leaves_no_missing_layer(tracer):
         rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(2.0), eps_abs=1e-6, max_nodes=1)
     assert rep.nodes_explored == 1
     assert t.missing == []
-    assert t.counters["relax.boxes"] == 9  # the root and its 8 children
-    assert t.counters["gopt.child_boxes"] == 8
+    # the root, its 8 children and one pair-set pass per cut of a child box
+    assert rep.cut_passes > 0
+    assert t.counters["relax.boxes"] == 9 + rep.cut_passes
+    assert t.counters["gopt.child_boxes"] == 8 + rep.cut_passes
     # every box is evaluated at its midpoint; every feasible one is bounded
     layers = t.summarize().layers
     assert layers["gopt.evaluate_ub"].calls == 9

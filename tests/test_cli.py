@@ -76,6 +76,7 @@ class TestSynth:
         (["--object-fraction", "nan"], "object_fraction must be in [0, 1]"),
         (["--noise", "nan"], "noise_sigma must be >= 0"),
         (["--n", "0,10"], "cloud sizes must be >= 1"),
+        (["--n", "10.7,20"], "--n: invalid literal for int() with base 10: '10.7'"),
     ])
     def test_invalid_arguments_are_usage_errors(self, tmp_path, capsys, argv, message):
         code, _, err = run(capsys, "synth", "--n", "5,10", "--angles", "0,0,0", *argv,
@@ -219,6 +220,27 @@ class TestNsbb:
         kv = parse_report(out)
         assert int(kv["nodes_explored"]) == 0
         assert kv["converged_by"] == "gap_abs"
+
+    def test_reports_contraction_counters(self, synth_files, capsys, monkeypatch):
+        """The report gives the solve's cut passes, emptied boxes and the share
+        of child-box volume that cuts removed."""
+        hat, bar, _ = synth_files
+        real_nsbb, reports = cli.nsbb_solve, []
+
+        def recording_nsbb(*a, **kw):
+            reports.append(real_nsbb(*a, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "nsbb_solve", recording_nsbb)
+        code, out, _ = run(capsys, "nsbb", "--hat", hat, "--bar", bar, "--max-nodes", "1",
+                           "--no-ags-init", "--eps-abs", "1e-9")
+        assert code == EXIT_OK
+        kv, rep = parse_report(out), reports[0]
+        assert rep.cut_passes > 0
+        assert int(kv["cut_passes"]) == rep.cut_passes
+        assert int(kv["boxes_emptied"]) == rep.boxes_emptied
+        assert float(kv["cut_volume_frac"]) == rep.cut_volume_frac
+        assert 0.0 < rep.cut_volume_frac <= 1.0
 
     def test_reports_finalized_boxes(self, synth_files, capsys):
         """A root box narrower than 1e-7 rad on every axis cannot be split: it

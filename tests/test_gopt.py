@@ -351,7 +351,9 @@ class TestNsbbSolve:
 
     def test_library_call_sites_go_through_module_globals(self, tiny_scene, monkeypatch):
         """The driver calls these four through gopt's globals, where the
-        benchmark tracer wraps them; children get the parent's pair set."""
+        benchmark tracer wraps them. A child's first pair-set pass gets the
+        parent's reduced set, and each pass over a cut box the reduced set of
+        the pass before it."""
         hat, bar, _ = tiny_scene
         calls = {name: [] for name in
                  ("compute_pair_set", "reduce_pairs", "evaluate_ub", "node_lower_bound")}
@@ -374,10 +376,21 @@ class TestNsbbSolve:
         assert all(calls.values())
         pairs_in = [args[3] if len(args) > 3 else kwargs.get("pairs")
                     for args, kwargs, _ in calls["compute_pair_set"]]
-        root_pairs = calls["reduce_pairs"][0][2].pairs
+        boxes = [args[2] for args, _, _ in calls["compute_pair_set"]]
+        reduced = [result.pairs for _, _, result in calls["reduce_pairs"]]
         assert pairs_in[0] is None
-        assert len(pairs_in) == 9  # the root and its 8 children
-        assert all(p is root_pairs for p in pairs_in[1:])
+        # the root, its 8 children and one pass per cut
+        assert len(pairs_in) == len(reduced) == 9 + rep.cut_passes
+        assert rep.cut_passes > 0
+        children = branch(AngleBox.symmetric_deg(0.5))
+        assert [b for b in boxes if b in children] == children
+        for k in range(1, len(boxes)):
+            if boxes[k] in children:
+                assert pairs_in[k] is reduced[0]
+            else:
+                assert pairs_in[k] is reduced[k - 1]
+                assert np.all(boxes[k].lows() >= boxes[k - 1].lows())
+                assert np.all(boxes[k].highs() <= boxes[k - 1].highs())
 
 
 def test_relative_gap_denominator_floor():
@@ -386,12 +399,27 @@ def test_relative_gap_denominator_floor():
     assert relative_gap(1e-12, 0.0) == pytest.approx(1e-12 / 1e-9)
 
 
+def removed_parts(box, lows, highs):
+    """Boxes that cover box minus [lows, highs]: the whole box when that is
+    empty, else up to two slabs per axis."""
+    if np.any(lows > highs):
+        return [box]
+    parts, lo, hi = [], box.lows(), box.highs()
+    for k in range(3):
+        for a, b in ((lo[k], lows[k]), (highs[k], hi[k])):
+            if b > a:
+                plo, phi = lo.copy(), hi.copy()
+                plo[k], phi[k] = a, b
+                parts.append(AngleBox.from_arrays(plo, phi))
+        lo[k], hi[k] = lows[k], highs[k]
+    return parts
+
+
 class TestModelPruneStage:
-    """compute_pair_set returns a child box after its pair-model pass, without
-    polytopes, when those bounds alone prune it. It prunes only with valid
-    bounds: no box it returns early holds an angle at or below the f_upper it
-    was given, and the polytope pass over the same box and parent set keeps
-    it above that f_upper."""
+    """What a solve rules out of its child boxes holds no angle at or below
+    the f_upper it was ruled out with: the boxes that reduction leaves
+    infeasible and the parts that cuts remove (a whole box when a cut
+    empties it). A box pruned by its bound has no grid objective below it."""
 
     SOLVES = {"30x60_6_nodes": (30, 60, 4, 6, 1e-4), "W3": (10, 20, 600, None, 1e-6)}
 
@@ -401,50 +429,170 @@ class TestModelPruneStage:
         hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
         box = AngleBox.symmetric_deg(2.0)
         warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
-        polytopes, pair_set, calls, early = relax._world_polytopes, gopt.compute_pair_set, [], []
+        pair_set, reduce, cut = gopt.compute_pair_set, gopt.reduce_pairs, gopt.ellipsoid_cut
+        boxes, ruled_out = [], []  # (box, f): no angle of the box has an objective <= f
 
-        def counting(*args):
-            calls.append(None)
-            return polytopes(*args)
+        def recording_pair_set(hat, bar, box, pairs, f_upper):
+            boxes.append((box, pairs is None))
+            return pair_set(hat, bar, box, pairs, f_upper=f_upper)
 
-        def recording(hat, bar, box, pairs, f_upper):
-            before = len(calls)
-            out = pair_set(hat, bar, box, pairs, f_upper=f_upper)
-            if pairs is not None and len(calls) == before:
-                early.append((box, pairs, f_upper))
+        def recording_reduce(pairs, f_upper):
+            red = reduce(pairs, f_upper)
+            child, root = boxes[-1]
+            if red.infeasible and not root:
+                ruled_out.append((child, f_upper))
+            return red
+
+        def recording_cut(box, multi, single, f_upper):
+            out = cut(box, multi, single, f_upper)
+            if out is not None:
+                ruled_out.extend((part, f_upper) for part in removed_parts(box, *out))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(relax, "_world_polytopes", counting)
-            mp.setattr(gopt, "compute_pair_set", recording)
+            mp.setattr(gopt, "compute_pair_set", recording_pair_set)
+            mp.setattr(gopt, "reduce_pairs", recording_reduce)
+            mp.setattr(gopt, "ellipsoid_cut", recording_cut)
             report = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=eps_abs,
                                 f_upper_init=warm, max_nodes=max_nodes)
-        assert len(early) > 0 and len(calls) > 0 and report.nodes_explored > 0
-        return hat, bar, early
-
-    def test_polytope_pass_also_prunes(self, solves):
-        """The polytope pass runs on every box at f_upper = inf, and only
-        raises c_lo: reduced at the recorded f_upper, the box stays pruned."""
-        hat, bar, early = solves
-        for box, pairs, f_upper in early:
-            red = reduce_pairs(compute_pair_set(hat, bar, box, pairs), f_upper)
-            assert red.infeasible or builtin_lower_bound(red.pairs) > f_upper
+        assert len(ruled_out) > 0 and report.cut_passes > 0 and report.nodes_explored > 0
+        bounded = [(b, lower) for b, lower in report.prune_log if lower < np.inf]
+        return hat, bar, ruled_out, bounded
 
     def test_early_boxes_exceed_f_upper_on_a_grid(self, solves):
-        hat, bar, early = solves
-        for box, _, f_upper in early:
+        hat, bar, ruled_out, bounded = solves
+        for box, f in ruled_out + bounded:
             axes = [np.linspace(lo, hi, 7) for lo, hi in zip(box.lows(), box.highs())]
             # evaluate_ub's values, row for row (its one-row case)
             objectives, _ = evaluate_many(hat, bar, np.array(list(itertools.product(*axes))))
-            assert objectives.min() > f_upper
+            if (box, f) in bounded:
+                assert objectives.min() >= f
+            else:
+                assert objectives.min() > f
+
+
+class TestEllipsoidCut:
+    """Soundness oracle for ellipsoid_cut: every angle sampled in a box but
+    outside its cut has an objective above the f_upper of the cut. Samples
+    are drawn uniformly over the box and within ±0.02° of the incumbent that
+    set f_upper, where objectives come closest to it."""
+
+    NEAR = math.radians(0.02)
+    UTM_SOUTH = (5e5, 9.9e6, 0.0)
+    # (n_hat, n_bar, noise, scene seed, offset): cuts recorded in 3-node solves
+    SOLVES = {"noise_0": (30, 60, 0.0, 5, (0.0, 0.0, 0.0)),
+              "noise_0.02": (30, 60, 0.02, 4, (0.0, 0.0, 0.0)),
+              "noise_0.05": (30, 60, 0.05, 4, (0.0, 0.0, 0.0)),
+              "utm_south": (30, 60, 0.02, 4, UTM_SOUTH)}
+    OFF_CENTRE = PLANTED.as_array() + np.radians([0.05, -0.03, 0.04])
+    BOXES = {"mid": box_around(PLANTED.as_array(), 0.1),
+             "off_centre": box_around(OFF_CENTRE, 0.02),
+             "narrow": box_around(PLANTED.as_array(), 0.005),
+             "flat": AngleBox(PLANTED.alpha - 1e-4, PLANTED.alpha + 1e-4, PLANTED.beta,
+                              PLANTED.beta, PLANTED.gamma - 1e-4, PLANTED.gamma + 1e-4),
+             "degenerate": AngleBox.from_arrays(OFF_CENTRE, OFF_CENTRE)}
+
+    def outside(self, box, cut, incumbent, rng, n):
+        """n uniform samples of the box and n of the box within NEAR of the
+        incumbent, those outside the cut [lows, highs]."""
+        lows, highs = cut
+        near_lo = np.maximum(box.lows(), incumbent - self.NEAR)
+        near_hi = np.minimum(box.highs(), incumbent + self.NEAR)
+        samples = [rng.uniform(box.lows(), box.highs(), (n, 3))]
+        if np.all(near_lo <= near_hi):
+            samples.append(rng.uniform(near_lo, near_hi, (n, 3)))
+        angles = np.concatenate(samples)
+        return angles[np.any((angles < lows) | (angles > highs), axis=1)]
+
+    def assert_cut_is_sound(self, hat, bar, cuts, n):
+        """cuts: (box, ellipsoid_cut's result, f_upper, incumbent angles)."""
+        rng = np.random.default_rng(1)
+        checked = 0
+        for box, cut, f_upper, incumbent in cuts:
+            angles = self.outside(box, cut, incumbent, rng, n)
+            if len(angles):
+                assert evaluate_many(hat, bar, angles)[0].min() > f_upper
+            checked += len(angles)
+        assert checked > 0
+
+    @pytest.mark.parametrize("name", list(SOLVES))
+    def test_solve_cuts_remove_only_angles_above_f_upper(self, name, monkeypatch):
+        n_hat, n_bar, noise, seed, offset = self.SOLVES[name]
+        hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, noise, seed=seed)
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in (hat, bar))
+        box = AngleBox.symmetric_deg(2.0)
+        best = [ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best]
+        evaluate, cut, cuts = gopt.evaluate_ub, gopt.ellipsoid_cut, []
+
+        def tracking(hat, bar, angles):
+            ev = evaluate(hat, bar, angles)
+            best[0] = min(best[0], ev, key=lambda e: e.objective)
+            return ev
+
+        def recording(box, multi, single, f_upper):
+            out = cut(box, multi, single, f_upper)
+            assert f_upper == best[0].objective
+            if out is not None:
+                cuts.append((box, out, f_upper, best[0].angles.as_array()))
+            return out
+
+        monkeypatch.setattr(gopt, "evaluate_ub", tracking)
+        monkeypatch.setattr(gopt, "ellipsoid_cut", recording)
+        nsbb_solve(hat, bar, box, eps_rel=1e-6, eps_abs=1e-9, f_upper_init=best[0], max_nodes=3)
+        assert cuts
+        self.assert_cut_is_sound(hat, bar, cuts, 200)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), UTM_SOUTH], ids=["plain", "utm_south"])
+    @pytest.mark.parametrize("name", list(BOXES))
+    def test_box_cuts_remove_only_angles_above_f_upper(self, noisy_scene, offset, name):
+        """The noisy 10x20 scene's pairs reduced over the box, at the least
+        objective of a grid of the box (that grid point is the incumbent) and
+        at the planted angles' objective."""
+        hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in noisy_scene)
+        box = self.BOXES[name]
+        axes = [np.linspace(lo, hi, 5) for lo, hi in zip(box.lows(), box.highs())]
+        grid = np.array(list(itertools.product(*axes)))
+        objectives = evaluate_many(hat, bar, grid)[0]
+        cuts = []
+        for f_upper, incumbent in ((objectives.min(), grid[objectives.argmin()]),
+                                   (evaluate_ub(hat, bar, PLANTED).objective, PLANTED.as_array())):
+            root = reduce_pairs(compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0)), f_upper)
+            red = reduce_pairs(compute_pair_set(hat, bar, box, root.pairs), f_upper)
+            if red.infeasible:
+                continue
+            cut = gopt.ellipsoid_cut(box, *gopt.single_partner_model(red.pairs, box, hat, bar),
+                                     f_upper)
+            if cut is not None:
+                cuts.append((box, cut, f_upper, incumbent))
+        assert cuts
+        if name != "degenerate":
+            self.assert_cut_is_sound(hat, bar, cuts, 2000)
+        else:  # the one angle of the box is cut away only if it is above f_upper
+            for box, (lows, highs), f_upper, _ in cuts:
+                f = evaluate_ub(hat, bar, box.midpoint()).objective
+                assert np.all(lows <= highs) or f > f_upper
+
+    @pytest.mark.parametrize("seed", [600, 601, 602])
+    def test_w2_certificate_below_grid_minimum(self, seed):
+        """A 1% certificate on the noisy 30x60 scene (W2) branches, and its
+        f_lower is at most the least objective of an 11^3 grid of ±0.02°
+        around the incumbent."""
+        hat, bar, _ = synth_generate(30, 60, PLANTED, 0.02, seed=seed)
+        box = AngleBox.symmetric_deg(2.0)
+        warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
+        rep = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=1e-4, f_upper_init=warm)
+        assert rep.converged_by in ("gap_rel", "gap_abs") and rep.nodes_explored > 0
+        centre = rep.incumbent.angles.as_array()
+        axes = [np.linspace(c - self.NEAR, c + self.NEAR, 11) for c in centre]
+        assert rep.f_lower <= evaluate_many(hat, bar, np.array(list(itertools.product(*axes))))[0].min()
 
 
 @pytest.mark.parametrize("name", list(TestModelPruneStage.SOLVES))
 def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
-    """Without pairs, the root box keeps its pair-model bounds; an explicit
-    dense set takes the polytope pass too, which can only raise c_lo. An
-    equal search is therefore not guaranteed; on these two solves the root
-    on the polytope pass explores and bounds the same boxes."""
+    """Without pairs, the root box gets its pair-model bounds; an explicit
+    dense set, vacuous bounds intersected with the same model bounds, gets
+    the same, so the root bounded either way explores and bounds the same
+    boxes."""
     n_hat, n_bar, seed, max_nodes, eps_abs = TestModelPruneStage.SOLVES[name]
     hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
     box = AngleBox.symmetric_deg(2.0)
@@ -453,15 +601,15 @@ def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
     model = nsbb_solve(hat, bar, box, **kwargs)
     pair_set, roots = gopt.compute_pair_set, []
 
-    def polytope_root(hat, bar, box, pairs, f_upper):
+    def dense_root(hat, bar, box, pairs, f_upper):
         if pairs is None:
             roots.append(box)
             pairs = PairSet.dense(len(hat), len(bar))
         return pair_set(hat, bar, box, pairs, f_upper=f_upper)
 
-    monkeypatch.setattr(gopt, "compute_pair_set", polytope_root)
-    polytope = nsbb_solve(hat, bar, box, **kwargs)
+    monkeypatch.setattr(gopt, "compute_pair_set", dense_root)
+    dense = nsbb_solve(hat, bar, box, **kwargs)
     assert roots == [box]
-    assert model.nodes_explored == polytope.nodes_explored > 0
-    assert model.f_lower == polytope.f_lower and model.f_upper == polytope.f_upper
-    assert model.bound_log == polytope.bound_log
+    assert model.nodes_explored == dense.nodes_explored > 0
+    assert model.f_lower == dense.f_lower and model.f_upper == dense.f_upper
+    assert model.bound_log == dense.bound_log

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from boresight import relax
+from boresight import relax, spatial
 from boresight.cloud import Cloud, georeference, synth_generate
 from boresight.gopt import nsbb_solve
 from boresight.reduce import PairSet, reduce_pairs
 from boresight.relax import (
     MODEL_CHUNK,
-    PAIR_CHUNK,
     POINT_CHUNK,
     CONTAIN_SLACK,
     build_polytope,
@@ -138,16 +137,16 @@ def assert_brackets_the_grid(ps, hat, bar, box, n=7):
     assert np.all(ps.c_hi >= d2.max(axis=0))
 
 
-def recording(monkeypatch, name, arg):
-    """Replace relax.<name> by a wrapper that records the length of its
+def recording(monkeypatch, name, arg, module=relax):
+    """Replace module.<name> by a wrapper that records the length of its
     positional argument arg (the pairs of the call) on every call."""
-    sizes, kernel = [], getattr(relax, name)
+    sizes, kernel = [], getattr(module, name)
 
     def wrapper(*args):
         sizes.append(len(args[arg]))
         return kernel(*args)
 
-    monkeypatch.setattr(relax, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return sizes
 
 
@@ -201,8 +200,8 @@ class TestPairBounds:
 
 class TestComputePairSet:
     def test_matches_exact_pair_bounds(self, tiny_scene):
-        # pair-model bounds, with GJK's polytope distance raising the refined
-        # pairs' c_lo: never tighter than the exact distances on a grid
+        # pair-model bounds on an explicit dense set: never tighter than the
+        # exact distances on a grid
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(2.0)
         ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
@@ -280,8 +279,8 @@ class TestRootModelBounds:
     """Grid oracle for compute_pair_set on every (i, j) of a noisy 10x20 and a
     noisy 30x60 scene, also at a southern UTM northing: c_lo is at most and
     c_hi at least the georeferenced squared distance at every point of a grid
-    of the box. The root's bounds come from the pair model alone; a child
-    box's start from them and GJK raises c_lo."""
+    of the box. Every box's bounds come from the pair model alone; a child
+    box's are intersected with its parent's."""
 
     CENTRE = PLANTED.as_array()
     BOXES = {
@@ -313,14 +312,14 @@ class TestRootModelBounds:
     @pytest.mark.parametrize("name", list(CHILD_BOXES))
     def test_child_brackets_the_grid(self, scene, offset, name, monkeypatch):
         """A child box inherits the ±2° root set, reduced at the objective of
-        the child's midpoint: that box cannot be pruned, so it reaches GJK."""
+        the child's midpoint, and is bounded without any polytope distance."""
         hat, bar = (Cloud(c.l, c.ins_rotation, c.s + np.asarray(offset)) for c in scene)
         box = self.CHILD_BOXES[name]
         f_upper = evaluate_ub(hat, bar, box.midpoint()).objective
         parent = reduce_pairs(compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0)), f_upper)
-        refined = recording(monkeypatch, "hull_min_sq_dist", 0)
+        hull_calls = recording(monkeypatch, "hull_min_sq_dist", 0, module=spatial)
         ps = compute_pair_set(hat, bar, box, parent.pairs, f_upper)
-        assert sum(refined) > 0
+        assert hull_calls == []
         assert_brackets_the_grid(ps, hat, bar, box)
 
 
@@ -371,7 +370,8 @@ class TestBatchedPolytopes:
         for half in (2.0, 0.1, 0.0):
             box = AngleBox.from_arrays(PLANTED.as_array() - math.radians(half),
                                        PLANTED.as_array() + math.radians(half))
-            compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
+            for cloud in (hat, bar):
+                relax._polytopes(cloud.l, rotation_interval(box))
         assert batches and min(batches) > 0
 
     def test_points_left_without_vertices_fall_back_to_the_box(self, monkeypatch):
@@ -478,15 +478,16 @@ class TestClosedFormVertices:
 
 class TestChunkedPairSet:
     def test_refinement_over_several_chunks_matches_oracle(self, small_scene, monkeypatch):
+        """An explicit dense set of more than MODEL_CHUNK pairs is bounded in
+        chunks, with the bounds of one chunk, and brackets the grid."""
         hat, bar, _ = small_scene
         box = AngleBox.symmetric_deg(2.0)
-        batches = recording(monkeypatch, "hull_min_sq_dist", 0)
+        batches = recording(monkeypatch, "_pair_model", 2)
         ps = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         chunked = len(batches)
-        assert sum(batches) > PAIR_CHUNK and chunked >= 2
-        # chunking changes no bound: one chunk for all points and pairs agrees
-        monkeypatch.setattr(relax, "POINT_CHUNK", 10**6)
-        monkeypatch.setattr(relax, "PAIR_CHUNK", 10**6)
+        assert sum(batches) == ps.size > MODEL_CHUNK and chunked >= 2
+        # chunking changes no bound: one chunk for all pairs agrees
+        monkeypatch.setattr(relax, "MODEL_CHUNK", 10**6)
         whole = compute_pair_set(hat, bar, box, PairSet.dense(len(hat), len(bar)))
         assert len(batches) == chunked + 1
         np.testing.assert_allclose(ps.c_lo, whole.c_lo, rtol=1e-12, atol=1e-15)

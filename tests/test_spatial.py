@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boresight import relax, spatial
-from boresight.relax import CONTAIN_SLACK, PAIR_CHUNK
+from boresight.relax import CONTAIN_SLACK
 from boresight.rotation import AngleBox, rotation_interval
 from boresight.spatial import NnIndex, gjk_min_sq_dist, hull_min_sq_dist, max_vertex_sq_dist
 
@@ -213,11 +213,11 @@ def padded(sets):
 
 class TestLockstepBounds:
     def test_ragged_stack_matches_oracles(self, qp_min_sq_dist):
-        """More pairs than one pair-set chunk, mixing random sets, singletons,
-        coplanar sets and overlapping hulls, in one lockstep batch."""
+        """280 pairs, mixing random sets, singletons, coplanar sets and
+        overlapping hulls, in one lockstep batch."""
         rng = np.random.default_rng(21)
         sets_a, sets_b = [], []
-        for p in range(PAIR_CHUNK + 24):
+        for p in range(280):
             a = rng.normal(size=(int(rng.integers(1, 9)), 3))
             b = rng.normal(size=(int(rng.integers(1, 9)), 3)) + rng.normal(scale=3, size=3)
             kind = p % 4
