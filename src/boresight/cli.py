@@ -317,7 +317,7 @@ def _root_pairs(args):
         raise UsageError("--f-upper must be >= 0")
     hat = load_fused(args.hat, label="hat")
     bar = load_fused(args.bar, label="bar")
-    pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
+    pairs = compute_pair_set(hat, bar, box)
     return hat, bar, box, f_upper, pairs, reduce_pairs(pairs, f_upper)
 
 

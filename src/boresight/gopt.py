@@ -1,10 +1,10 @@
-"""Global solver: nested spatial branch-and-bound over the angle box."""
+"""Global solver: the nested spatial branch-and-bound driver over the angle box.
+Every bound it uses comes from relax."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -13,26 +13,16 @@ import numpy as np
 from .cloud import Cloud
 from .miqcqp import SolverError, external_lower_bound
 from .reduce import PairSet, reduce_pairs
-from .relax import _pair_model, compute_pair_set
+from .relax import (builtin_lower_bound, compute_pair_set, coupled_lower_bound, ellipsoid_cut,
+                    single_partner_model)
 from .rotation import AngleBox
 from .search import Evaluation, evaluate_ub
-from .spatial import _clipped_solve, _cross
 
 MIN_BOX_WIDTH = 1e-7  # radians; axes narrower than this are not split
 GAP_DENOM_EPS = 1e-9
 # A child box's contraction ends with the first cut that shrinks no axis by
 # more than this share of its width.
 CUT_MIN_SHRINK = 0.1
-# The cut's squared radius and half-widths are widened by this factor and
-# then this much (radians^2, radians) for rounding.
-CUT_REL_SLACK = 1e-6
-CUT_ABS_SLACK = 1e-12
-# H = A^T A counts as near-singular, and makes no cut, when det H is at most
-# this share of the product of its diagonal (Hadamard: that product bounds det H).
-CUT_MIN_DET = 1e-9
-# every axis free (0), at its lower (1) or at its upper bound (2): the active
-# sets of a 3-variable box-constrained problem
-_ACTIVE_SETS = np.array(list(itertools.product(range(3), repeat=3)))
 
 
 @dataclass
@@ -56,123 +46,18 @@ def branch(box: AngleBox) -> list[AngleBox]:
             for a, b, g in itertools.product(*per_axis)]
 
 
-def builtin_lower_bound(pairs: PairSet) -> float:
-    """Valid lower bound: every hat point must match one of its retained
-    candidates, and c_lo bounds that pair's squared distance over the box."""
-    return float(pairs.min_c_lo_per_i().sum())
-
-
-def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarray:
-    """Candidate minimisers of d @ H @ d + 2 g @ d over |d_k| <= hw_k, one per
-    active set, shape (27, 3), all inside the box.
-
-    For each active set the fixed axes sit at their bound and the free ones
-    solve their rows of the stationarity condition H d = -g (Cramer's rule);
-    the result is clipped into the box. With H positive definite on the free
-    axes, the candidate of the optimum's active set is the optimum.
-    """
-    free = _ACTIVE_SETS == 0
-    M = np.where(free[:, :, None], H, np.eye(3))
-    rhs = np.where(free, -g, np.where(_ACTIVE_SETS == 1, -hw, hw))
-    return _clipped_solve(M, rhs, hw)
-
-
-def single_partner_model(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud):
-    """(M, model): M = sum over the hat points with several surviving
-    partners of min_j c_lo, and the pair model (b, A, rho) of _pair_model on
-    the pairs of the points with exactly one, None when there are none."""
-    counts = np.bincount(pairs.i, minlength=pairs.n_hat)
-    multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
-    single = counts[pairs.i] == 1
-    if not single.any():
-        return multi, None
-    return multi, _pair_model(hat, bar, pairs.i[single], pairs.j[single], box)
-
-
-def coupled_lower_bound(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud,
-                        model=None) -> float:
-    """Lower bound that shares one rotation among the points with a single
-    surviving partner.
-
-    After reduction, a hat point i with exactly one candidate j has j as its
-    nearest partner wherever the objective is at or below the upper bound the
-    set was reduced with. Over those angles the objective is at least
-    sum_single ||g_ij(c + d)||^2 + M, with M = sum_multi min_j c_lo_ij and
-    g_ij the pair's offset at the box midpoint c shifted by d, within rho_ij
-    of its linearisation g0 + J d (_pair_model). With Q the minimum of
-    sum ||g0 + J d||^2 over the box, the bound is (sqrt(Q) - ||rho||)_+^2 + M
-    (Minkowski). Q is certified from a candidate minimiser by the convexity
-    cut, so its accuracy does not matter. model is single_partner_model of
-    the same pairs and box, formed here when not given.
-    """
-    multi, single = single_partner_model(pairs, box, hat, bar) if model is None else model
-    if single is None:
-        return multi
-    hw = 0.5 * box.widths()
-    b, A, rho = single
-    cands = _box_qp_candidates(A.T @ A, A.T @ b, hw)
-    res = A @ cands.T + b[:, None]
-    k = np.argmin(np.einsum("rc,rc->c", res, res))
-    d, r = cands[k], res[:, k]
-    grad = 2.0 * (A.T @ r)
-    q = max(0.0, float(r @ r - grad @ d - np.abs(grad) @ hw))
-    return max(0.0, math.sqrt(q) - math.sqrt(float(rho @ rho))) ** 2 + multi
-
-
-def ellipsoid_cut(box: AngleBox, multi: float, single, f_upper: float):
-    """The box cut to the bounding box of the coupled bound's ellipsoid, as
-    (lows, highs): some low lies above its high when no angle of the box can
-    have f <= f_upper. None when no cut is made: fewer than 3 single-partner
-    points, or a near-singular H (CUT_MIN_DET).
-
-    (multi, single) is single_partner_model of reduced pairs over the box, at
-    an upper bound of at least f_upper. By coupled_lower_bound's argument,
-    every c + d in the box with f(c + d) <= f_upper has M <= f_upper and
-    Q(d) = ||b + A d||^2 <= r^2, with r = sqrt(f_upper - M) + ||rho||. With
-    H = A^T A and d* = -H^-1 A^T b, Q(d) = Q(d*) + (d - d*)^T H (d - d*), so
-    |d_k - d*_k| <= sqrt((r^2 - Q(d*)) (H^-1)_kk). H^-1 is the adjugate over
-    the determinant. d* is refined by one step from the residual's gradient,
-    whose share of Q(d*) is taken off exactly; r^2 and the half-widths are
-    widened for rounding (CUT_REL_SLACK, CUT_ABS_SLACK).
-    """
-    lows, highs = box.lows(), box.highs()
-    if multi > f_upper:
-        return highs, lows
-    if single is None or single[2].size < 3:
-        return None
-    b, A, rho = single
-    H = A.T @ A
-    adj = _cross(H[[1, 2, 0]], H[[2, 0, 1]])  # rows H1 x H2, H2 x H0, H0 x H1
-    det = float(H[0] @ adj[0])
-    if not det > CUT_MIN_DET * np.prod(np.diag(H)):
-        return None
-    inv = adj / det
-    d = -inv @ (A.T @ b)
-    res = b + A @ d
-    g = A.T @ res  # zero but for rounding; the minimiser is d - inv @ g
-    q = float(res @ res - g @ inv @ g)
-    r = math.sqrt(f_upper - multi) + math.sqrt(float(rho @ rho))
-    slack = r * r * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK - q
-    if slack < 0.0:
-        return highs, lows
-    half = np.sqrt(slack * np.diag(inv)) * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK
-    centre = 0.5 * (lows + highs) + d - inv @ g
-    return np.maximum(lows, centre - half), np.minimum(highs, centre + half)
-
-
 def node_lower_bound(
     node: Node,
     hat: Cloud,
     bar: Cloud,
+    model,
     solver_cmd: str | None = None,
     t_max: float = 30.0,
     node_upper: float = np.inf,
-    model=None,
 ) -> float:
     """Lower bound for the node's box: the largest of node.lower (the parent's
     bound, so bounds are monotone by construction), the per-point and the
-    coupled bound (model: single_partner_model of the node's pairs and box,
-    formed here when not given).
+    coupled bound (model: single_partner_model of the node's pairs and box).
 
     With solver_cmd, the external solver's bound on the node's MIQCQP model
     is used where it is larger. An external bound above node_upper is
@@ -184,7 +69,7 @@ def node_lower_bound(
     is pruned whatever its bound.
     """
     value = max(node.lower, builtin_lower_bound(node.pairs),
-                coupled_lower_bound(node.pairs, node.box, hat, bar, model))
+                coupled_lower_bound(model, node.box))
     if solver_cmd is not None:
         external = external_lower_bound(hat, bar, node.pairs, node.box, solver_cmd,
                                         t_max, node_upper)
@@ -271,7 +156,7 @@ def nsbb_solve(
 
     def tighten(box: AngleBox, pairs: PairSet | None):
         """The pairs (None: the dense root set) re-tightened over the box, and reduced."""
-        tight = compute_pair_set(hat, bar, box, pairs, f_upper=rep.f_upper)
+        tight = compute_pair_set(hat, bar, box, pairs)
         red = reduce_pairs(tight, rep.f_upper)
         rep.pairs_eliminated += red.removed_total
         return tight, red
@@ -282,30 +167,29 @@ def nsbb_solve(
         parent's bound `lower`."""
         nonlocal child_volume, cut_volume
         tight, red = tighten(box, pairs)
-        model, empty = None, False
-        if pairs is None:
+        root, empty, volume = pairs is None, False, box.volume()
+        while not red.infeasible:
+            model = single_partner_model(red.pairs, box, hat, bar)
+            cut = None if root else ellipsoid_cut(box, *model, rep.f_upper)
+            if cut is None:
+                break
+            lows, highs = cut
+            empty = bool(np.any(lows > highs))
+            widths = box.widths()
+            if empty or not np.any(widths - (highs - lows) > CUT_MIN_SHRINK * widths):
+                break
+            box = AngleBox.from_arrays(lows, highs)
+            rep.cut_passes += 1
+            red = tighten(box, red.pairs)[1]
+        if root:
             rep.pairs_root = tight.size
         else:
-            volume = box.volume()
-            while not red.infeasible:
-                model = single_partner_model(red.pairs, box, hat, bar)
-                cut = ellipsoid_cut(box, *model, rep.f_upper)
-                if cut is None:
-                    break
-                lows, highs = cut
-                empty = bool(np.any(lows > highs))
-                widths = box.widths()
-                if empty or not np.any(widths - (highs - lows) > CUT_MIN_SHRINK * widths):
-                    break
-                box, model = AngleBox.from_arrays(lows, highs), None
-                rep.cut_passes += 1
-                red = tighten(box, red.pairs)[1]
             rep.boxes_emptied += empty
             child_volume += volume
             cut_volume += volume - (0.0 if empty else box.volume())
         node = Node(box=box, pairs=red.pairs, lower=lower)
         node.lower = np.inf if red.infeasible or empty else node_lower_bound(
-            node, hat, bar, solver_cmd, node_time, node_upper=ev.objective, model=model)
+            node, hat, bar, model, solver_cmd, node_time, node_upper=ev.objective)
         return node
 
     def push_or_prune(node: Node) -> None:

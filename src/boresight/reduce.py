@@ -31,20 +31,31 @@ class PairSet:
         n = self.i.shape[0]
         if not (self.j.shape[0] == self.c_lo.shape[0] == self.c_hi.shape[0] == n):
             raise ValueError("pair arrays must have equal length")
-        if n and self.j.max(initial=0) >= 0:
-            key = self.i * (self.j.max(initial=0) + 1) + self.j
-            if np.unique(key).shape[0] != n:
-                raise ValueError("duplicate (i, j) pairs")
+        if np.any(self.i < 0) or np.any(self.i >= self.n_hat):
+            raise ValueError("hat indices i must lie in [0, n_hat)")
+        if np.any(self.j < 0):
+            raise ValueError("bar indices j must be >= 0")
+        # with 0 <= j <= max j, the key is unique exactly when (i, j) is
+        if n and np.unique(self.i * (self.j.max() + 1) + self.j).shape[0] != n:
+            raise ValueError("duplicate (i, j) pairs")
         if np.any(self.c_lo < 0) or np.any(self.c_lo > self.c_hi):
             raise ValueError("pair bounds must satisfy 0 <= c_lo <= c_hi")
 
     @classmethod
+    def unchecked(cls, n_hat: int, i: np.ndarray, j: np.ndarray, c_lo: np.ndarray,
+                  c_hi: np.ndarray) -> "PairSet":
+        """A set of arrays known to be valid (int64 indices, float bounds),
+        without the checks that construction runs."""
+        out = object.__new__(cls)
+        out.n_hat, out.i, out.j, out.c_lo, out.c_hi = n_hat, i, j, c_lo, c_hi
+        return out
+
+    @classmethod
     def dense(cls, n_hat: int, n_bar: int) -> "PairSet":
         """All n_hat * n_bar pairs with vacuous bounds [0, inf)."""
-        i = np.repeat(np.arange(n_hat), n_bar)
-        j = np.tile(np.arange(n_bar), n_hat)
-        return cls(n_hat=n_hat, i=i, j=j,
-                   c_lo=np.zeros(i.shape[0]), c_hi=np.full(i.shape[0], np.inf))
+        i = np.repeat(np.arange(n_hat, dtype=np.int64), n_bar)
+        j = np.tile(np.arange(n_bar, dtype=np.int64), n_hat)
+        return cls.unchecked(n_hat, i, j, np.zeros(i.shape[0]), np.full(i.shape[0], np.inf))
 
     @property
     def size(self) -> int:
@@ -71,10 +82,8 @@ class PairSet:
     def select(self, mask: np.ndarray) -> "PairSet":
         """The pairs where mask is true. A subset of a valid set is valid, so
         the result skips the checks that construction runs."""
-        out = object.__new__(PairSet)
-        out.n_hat, out.i, out.j = self.n_hat, self.i[mask], self.j[mask]
-        out.c_lo, out.c_hi = self.c_lo[mask], self.c_hi[mask]
-        return out
+        return PairSet.unchecked(self.n_hat, self.i[mask], self.j[mask], self.c_lo[mask],
+                                 self.c_hi[mask])
 
 
 @dataclass

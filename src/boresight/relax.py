@@ -1,19 +1,21 @@
-"""Convex enclosures of a point's reachable positions and pair distance bounds.
+"""Pair distance bounds over an angle box, and a convex enclosure library.
 
-For a scanner-frame return l and an angle box, the reachable set
-{R(angles) @ l} lies on the sphere of radius ||l||. Its convex enclosure is
-the interval box K from the rotation enclosure, intersected with sphere
-tangent cuts (from above) and the box secant of the norm equality (from
-below).
+_pair_model linearises every pair's offset around the box midpoint. Every
+bound a solve uses comes from it: the per-pair bounds (compute_pair_set), the
+per-point bound, the coupled bound and the ellipsoid cut.
 
-compute_pair_set bounds every pair of a box from the pair's linearised model,
-in vectorised passes over fixed chunks of pairs.
+The rest, which no solve calls, encloses the reachable set {R(angles) @ l} of
+a scanner-frame return l, on the sphere of radius ||l||: the interval box K of
+the rotation enclosure, cut by sphere tangents (from above) and by the box
+secant of the norm equality (from below). It stays while bench/tracer.py wraps
+build_polytope, rotation_interval, gjk_min_sq_dist and max_vertex_sq_dist here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .cloud import Cloud
 from .reduce import PairSet
 from .rotation import (AngleBox, RotationInterval, rotation_from_angles, rotation_interval,
                        rotation_jacobian)
-from .spatial import _clipped_solve, _cross
+from .spatial import _cross
 # single-pair bounds re-exported under this module, where bench/tracer.py wraps them
 from .spatial import gjk_min_sq_dist as gjk_min_sq_dist, max_vertex_sq_dist as max_vertex_sq_dist
 
@@ -32,12 +34,22 @@ POINT_SLACK = 1e-9
 # Georeferenced pair offsets are off by at most 2 sqrt(3) ulps of max|s| (1.0
 # measured at UTM northings): the pair model's rounding slack allows this many.
 GEOREF_ULPS = 4
-# Points per polytope pass: a fixed chunk bounds peak memory (on 30x60 scenes,
-# 2-vCPU VM, 64 points add 3.5 MB of peak RSS).
+# Points per polytope pass: a fixed chunk bounds the peak memory of _polytopes,
+# which only build_polytope (one point) and the tests call.
 POINT_CHUNK = 16
 # Pairs per pass of the pair model: on a 100x250 root box (2-vCPU VM) 1024
 # took 52 ms where 256 took 70, for 0.2 MB more peak memory.
 MODEL_CHUNK = 1024
+# The cut's squared radius and half-widths are widened by this factor and
+# then this much (radians^2, radians) for rounding.
+CUT_REL_SLACK = 1e-6
+CUT_ABS_SLACK = 1e-12
+# H = A^T A counts as near-singular, and makes no cut, when det H is at most
+# this share of the product of its diagonal (Hadamard: that product bounds det H).
+CUT_MIN_DET = 1e-9
+# every axis free (0), at its lower (1) or at its upper bound (2): the active
+# sets of a 3-variable box-constrained problem
+_ACTIVE_SETS = np.array(list(itertools.product(range(3), repeat=3)))
 
 _FEAS_TOL = 5e-10
 # plane triples of an m-plane system; box corners in itertools.product order
@@ -179,6 +191,15 @@ def build_polytope(l: np.ndarray, box: AngleBox) -> UncertaintyPolytope:
     return UncertaintyPolytope(A[0, : m[0]], b[0, : m[0]], V[0, : nv[0]])
 
 
+def _clipped_solve(M: np.ndarray, rhs: np.ndarray, hw: np.ndarray) -> np.ndarray:
+    """Solutions of the 3x3 systems M[c] x = rhs[c] by Cramer's rule, clipped
+    into |x_k| <= hw_k; where det M[c] = 0, the clipped numerator instead."""
+    c12, c20, c01 = _cross(M[:, 1], M[:, 2]), _cross(M[:, 2], M[:, 0]), _cross(M[:, 0], M[:, 1])
+    det = np.einsum("ck,ck->c", M[:, 0], c12)
+    x = rhs[:, :1] * c12 + rhs[:, 1:2] * c20 + rhs[:, 2:] * c01
+    return np.clip(x / np.where(det != 0, det, 1.0)[:, None], -hw, hw)
+
+
 def _pair_model(hat: Cloud, bar: Cloud, i: np.ndarray, j: np.ndarray,
                 box: AngleBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The offsets g_ij(c + d) = b + A d + e of pairs (i, j) around the box
@@ -231,7 +252,6 @@ def compute_pair_set(
     bar: Cloud,
     box: AngleBox,
     pairs: PairSet | None = None,
-    f_upper: float = np.inf,
 ) -> PairSet:
     """Bounds over the box for every candidate pair, vectorized.
 
@@ -239,12 +259,115 @@ def compute_pair_set(
     in chunks of MODEL_CHUNK pairs: all pairs without a PairSet (the root box),
     else the given candidates, whose old bounds are intersected with the new
     ones, which keeps bounds monotone for nested boxes. No polytope is built.
-    The bounds hold whatever the incumbent, so f_upper changes none of them.
     """
     out = (PairSet.dense(len(hat), len(bar)) if pairs is None
-           else replace(pairs, c_lo=pairs.c_lo.copy(), c_hi=pairs.c_hi.copy()))
+           else PairSet.unchecked(pairs.n_hat, pairs.i, pairs.j, pairs.c_lo.copy(),
+                                  pairs.c_hi.copy()))
     for s in _chunks(out.size, MODEL_CHUNK):
         model = _pair_model(hat, bar, out.i[s], out.j[s], box)
         out.c_hi[s] = np.minimum(out.c_hi[s], _model_c_hi(*model, box))
         out.c_lo[s] = np.minimum(np.maximum(out.c_lo[s], _model_c_lo(*model, box)), out.c_hi[s])
     return out
+
+
+def builtin_lower_bound(pairs: PairSet) -> float:
+    """Valid lower bound: every hat point must match one of its retained
+    candidates, and c_lo bounds that pair's squared distance over the box."""
+    return float(pairs.min_c_lo_per_i().sum())
+
+
+def _box_qp_candidates(H: np.ndarray, g: np.ndarray, hw: np.ndarray) -> np.ndarray:
+    """Candidate minimisers of d @ H @ d + 2 g @ d over |d_k| <= hw_k, one per
+    active set, shape (27, 3), all inside the box.
+
+    For each active set the fixed axes sit at their bound and the free ones
+    solve their rows of the stationarity condition H d = -g (Cramer's rule);
+    the result is clipped into the box. With H positive definite on the free
+    axes, the candidate of the optimum's active set is the optimum.
+    """
+    free = _ACTIVE_SETS == 0
+    M = np.where(free[:, :, None], H, np.eye(3))
+    rhs = np.where(free, -g, np.where(_ACTIVE_SETS == 1, -hw, hw))
+    return _clipped_solve(M, rhs, hw)
+
+
+def single_partner_model(pairs: PairSet, box: AngleBox, hat: Cloud, bar: Cloud):
+    """(M, model): M = sum over the hat points with several surviving
+    partners of min_j c_lo, and the pair model (b, A, rho) of _pair_model on
+    the pairs of the points with exactly one, None when there are none."""
+    counts = np.bincount(pairs.i, minlength=pairs.n_hat)
+    multi = float(pairs.min_c_lo_per_i()[counts != 1].sum())
+    single = counts[pairs.i] == 1
+    if not single.any():
+        return multi, None
+    return multi, _pair_model(hat, bar, pairs.i[single], pairs.j[single], box)
+
+
+def coupled_lower_bound(model, box: AngleBox) -> float:
+    """Lower bound that shares one rotation among the points with a single
+    surviving partner.
+
+    After reduction, a hat point i with exactly one candidate j has j as its
+    nearest partner wherever the objective is at or below the upper bound the
+    set was reduced with. Over those angles the objective is at least
+    sum_single ||g_ij(c + d)||^2 + M, with M = sum_multi min_j c_lo_ij and
+    g_ij the pair's offset at the box midpoint c shifted by d, within rho_ij
+    of its linearisation g0 + J d (_pair_model). With Q the minimum of
+    sum ||g0 + J d||^2 over the box, the bound is (sqrt(Q) - ||rho||)_+^2 + M
+    (Minkowski). Q is certified from a candidate minimiser by the convexity
+    cut, so its accuracy does not matter. model is single_partner_model of
+    the reduced pairs over the box.
+    """
+    multi, single = model
+    if single is None:
+        return multi
+    hw = 0.5 * box.widths()
+    b, A, rho = single
+    cands = _box_qp_candidates(A.T @ A, A.T @ b, hw)
+    res = A @ cands.T + b[:, None]
+    k = np.argmin(np.einsum("rc,rc->c", res, res))
+    d, r = cands[k], res[:, k]
+    grad = 2.0 * (A.T @ r)
+    q = max(0.0, float(r @ r - grad @ d - np.abs(grad) @ hw))
+    return max(0.0, math.sqrt(q) - math.sqrt(float(rho @ rho))) ** 2 + multi
+
+
+def ellipsoid_cut(box: AngleBox, multi: float, single, f_upper: float):
+    """The box cut to the bounding box of the coupled bound's ellipsoid, as
+    (lows, highs): some low lies above its high when no angle of the box can
+    have f <= f_upper. None when no cut is made: fewer than 3 single-partner
+    points, or a near-singular H (CUT_MIN_DET).
+
+    (multi, single) is single_partner_model of reduced pairs over the box, at
+    an upper bound of at least f_upper. By coupled_lower_bound's argument,
+    every c + d in the box with f(c + d) <= f_upper has M <= f_upper and
+    Q(d) = ||b + A d||^2 <= r^2, with r = sqrt(f_upper - M) + ||rho||. With
+    H = A^T A and d* = -H^-1 A^T b, Q(d) = Q(d*) + (d - d*)^T H (d - d*), so
+    |d_k - d*_k| <= sqrt((r^2 - Q(d*)) (H^-1)_kk). H^-1 is the adjugate over
+    the determinant. d* is refined by one step from the residual's gradient,
+    whose share of Q(d*) is taken off exactly; r^2 and the half-widths are
+    widened for rounding (CUT_REL_SLACK, CUT_ABS_SLACK).
+    """
+    lows, highs = box.lows(), box.highs()
+    if multi > f_upper:
+        return highs, lows
+    if single is None or single[2].size < 3:
+        return None
+    b, A, rho = single
+    H = A.T @ A
+    adj = _cross(H[[1, 2, 0]], H[[2, 0, 1]])  # rows H1 x H2, H2 x H0, H0 x H1
+    det = float(H[0] @ adj[0])
+    if not det > CUT_MIN_DET * np.prod(np.diag(H)):
+        return None
+    inv = adj / det
+    d = -inv @ (A.T @ b)
+    res = b + A @ d
+    g = A.T @ res  # zero but for rounding; the minimiser is d - inv @ g
+    q = float(res @ res - g @ inv @ g)
+    r = math.sqrt(f_upper - multi) + math.sqrt(float(rho @ rho))
+    slack = r * r * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK - q
+    if slack < 0.0:
+        return highs, lows
+    half = np.sqrt(slack * np.diag(inv)) * (1.0 + CUT_REL_SLACK) + CUT_ABS_SLACK
+    centre = 0.5 * (lows + highs) + d - inv @ g
+    return np.maximum(lows, centre - half), np.minimum(highs, centre + half)

@@ -70,15 +70,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _clipped_solve(M: np.ndarray, rhs: np.ndarray, hw: np.ndarray) -> np.ndarray:
-    """Solutions of the 3x3 systems M[c] x = rhs[c] by Cramer's rule, clipped
-    into |x_k| <= hw_k; where det M[c] = 0, the clipped numerator instead."""
-    c12, c20, c01 = _cross(M[:, 1], M[:, 2]), _cross(M[:, 2], M[:, 0]), _cross(M[:, 0], M[:, 1])
-    det = np.einsum("ck,ck->c", M[:, 0], c12)
-    x = rhs[:, :1] * c12 + rhs[:, 1:2] * c20 + rhs[:, 2:] * c01
-    return np.clip(x / np.where(det != 0, det, 1.0)[:, None], -hw, hw)
-
-
 # The faces of a simplex of up to 4 points that contain its slot 0, the
 # newest support point: the vertex, 3 edges, 3 triangles and the
 # tetrahedron, in that order; _FACE_IDX (zero-padded) lists their slots.

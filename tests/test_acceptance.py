@@ -156,7 +156,7 @@ def test_criterion_5_reduction_safety(capsys):
     for seed in range(20):
         hat, bar, _ = synth_generate(20, 40, PLANTED, 0.0, seed=500 + seed)
         f_upper = evaluate_ub(hat, bar, PLANTED).objective + 1e-9
-        red = reduce_pairs(compute_pair_set(hat, bar, box, f_upper=f_upper), f_upper)
+        red = reduce_pairs(compute_pair_set(hat, bar, box), f_upper)
         assert not red.infeasible
         kept = set(zip(red.pairs.i.tolist(), red.pairs.j.tolist()))
         angles = grid + PLANTED.as_array()

@@ -7,20 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from boresight import gopt, relax
+from boresight import gopt, relax, rotation, spatial
 from boresight.cloud import Cloud, georeference, synth_generate
-from boresight.gopt import (
-    Node,
-    branch,
-    builtin_lower_bound,
-    coupled_lower_bound,
-    node_lower_bound,
-    nsbb_solve,
-    relative_gap,
-)
+from boresight.gopt import Node, branch, node_lower_bound, nsbb_solve, relative_gap
 from boresight.miqcqp import SolverError
 from boresight.reduce import PairSet, reduce_pairs
-from boresight.relax import compute_pair_set
+from boresight.relax import (builtin_lower_bound, compute_pair_set, coupled_lower_bound,
+                             single_partner_model)
 from boresight.rotation import AngleBox, EulerAngles
 from boresight.search import AgsConfig, ags_run, evaluate_many, evaluate_ub
 
@@ -28,10 +21,18 @@ PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
 
 def make_node(hat, bar, box, f_upper=np.inf):
-    pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
+    pairs = compute_pair_set(hat, bar, box)
     red = reduce_pairs(pairs, f_upper)
     assert not red.infeasible
     return Node(box=box, pairs=red.pairs, lower=0.0)
+
+
+def node_bound(node, hat, bar):
+    return node_lower_bound(node, hat, bar, single_partner_model(node.pairs, node.box, hat, bar))
+
+
+def coupled(pairs, box, hat, bar):
+    return coupled_lower_bound(single_partner_model(pairs, box, hat, bar), box)
 
 
 class TestBranch:
@@ -77,7 +78,7 @@ class TestLowerBound:
         box = AngleBox(theta.alpha, theta.alpha, theta.beta, theta.beta,
                        theta.gamma, theta.gamma)
         node = make_node(hat, bar, box)
-        lb = node_lower_bound(node, hat, bar)
+        lb = node_bound(node, hat, bar)
         f = evaluate_ub(hat, bar, theta).objective
         assert lb <= f + 1e-6
         assert lb >= f - 1e-6 * (1 + len(hat))
@@ -86,7 +87,7 @@ class TestLowerBound:
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(0.5)
         node = make_node(hat, bar, box)
-        lb = node_lower_bound(node, hat, bar)
+        lb = node_bound(node, hat, bar)
         rng = np.random.default_rng(1)
         best = min(
             evaluate_ub(hat, bar, EulerAngles(*t)).objective for t in box.sample(rng, 200)
@@ -97,7 +98,7 @@ class TestLowerBound:
         hat, bar, _ = tiny_scene
         ps = PairSet(n_hat=1, i=[0], j=[0], c_lo=[0.5], c_hi=[1.0])
         node = Node(box=AngleBox.symmetric_deg(1.0), pairs=ps, lower=0.9)
-        assert node_lower_bound(node, hat, bar) == pytest.approx(0.9)
+        assert node_bound(node, hat, bar) == pytest.approx(0.9)
 
 
 def box_around(center: np.ndarray, half_deg: float) -> AngleBox:
@@ -120,7 +121,7 @@ class TestCoupledLowerBound:
 
     def reduced(self, hat, bar, box):
         f_upper = evaluate_ub(hat, bar, box.midpoint()).objective
-        red = reduce_pairs(compute_pair_set(hat, bar, box, f_upper=f_upper), f_upper)
+        red = reduce_pairs(compute_pair_set(hat, bar, box), f_upper)
         assert not red.infeasible
         return red.pairs, f_upper
 
@@ -135,14 +136,14 @@ class TestCoupledLowerBound:
         box = box_around(PLANTED.as_array() if centre == "planted" else self.OFF_CENTRE,
                          half_deg)
         pairs, f_upper = self.reduced(hat, bar, box)
-        lb = coupled_lower_bound(pairs, box, hat, bar)
+        lb = coupled(pairs, box, hat, bar)
         assert min(f_upper, lb) <= grid_min(hat, bar, box) + 1e-12
 
     def test_tighter_than_per_point_bound_on_narrow_boxes(self, noisy_scene):
         hat, bar = noisy_scene
         box = box_around(PLANTED.as_array(), 0.005)
         pairs, _ = self.reduced(hat, bar, box)
-        assert coupled_lower_bound(pairs, box, hat, bar) > builtin_lower_bound(pairs) > 0.0
+        assert coupled(pairs, box, hat, bar) > builtin_lower_bound(pairs) > 0.0
 
     def test_degenerate_box_matches_objective(self, tiny_scene):
         hat, bar, _ = tiny_scene
@@ -150,7 +151,7 @@ class TestCoupledLowerBound:
         box = AngleBox(theta.alpha, theta.alpha, theta.beta, theta.beta,
                        theta.gamma, theta.gamma)
         pairs = make_node(hat, bar, box).pairs
-        lb = coupled_lower_bound(pairs, box, hat, bar)
+        lb = coupled(pairs, box, hat, bar)
         f = evaluate_ub(hat, bar, theta).objective
         assert abs(lb - f) <= 1e-6 * (1 + len(hat))
 
@@ -159,7 +160,7 @@ class TestCoupledLowerBound:
         ps = PairSet(n_hat=2, i=[0, 0, 1, 1], j=[0, 1, 2, 3],
                      c_lo=[0.5, 0.25, 1.0, 2.0], c_hi=[3.0, 3.0, 4.0, 4.0])
         box = AngleBox.symmetric_deg(0.01)
-        assert coupled_lower_bound(ps, box, hat, bar) == builtin_lower_bound(ps) == 1.25
+        assert coupled(ps, box, hat, bar) == builtin_lower_bound(ps) == 1.25
 
     def test_utm_offset_invariance(self, noisy_scene, monkeypatch):
         """Adding (5e5, 5e6, 0) rounds s by up to 4.7e-10 m. With the model's
@@ -176,12 +177,12 @@ class TestCoupledLowerBound:
         for box in (box_around(PLANTED.as_array(), 0.005), box_around(self.OFF_CENTRE, 0.02),
                     box_around(PLANTED.as_array(), 0.1)):
             pairs, _ = self.reduced(hat, bar, box)
-            plain = coupled_lower_bound(pairs, box, hat, bar)
-            widened = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
+            plain = coupled(pairs, box, hat, bar)
+            widened = coupled(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
             with monkeypatch.context() as m:
                 m.setattr(relax, "GEOREF_ULPS", 0)
-                shifted = coupled_lower_bound(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
-                rounded = coupled_lower_bound(pairs, box, moved(hat, offset), moved(bar, offset))
+                shifted = coupled(pairs, box, moved(hat, 0.0), moved(bar, 0.0))
+                rounded = coupled(pairs, box, moved(hat, offset), moved(bar, offset))
             assert plain > 0.0
             assert shifted == pytest.approx(rounded, rel=1e-9)
             assert shifted == pytest.approx(plain, rel=1e-8)
@@ -432,9 +433,9 @@ class TestModelPruneStage:
         pair_set, reduce, cut = gopt.compute_pair_set, gopt.reduce_pairs, gopt.ellipsoid_cut
         boxes, ruled_out = [], []  # (box, f): no angle of the box has an objective <= f
 
-        def recording_pair_set(hat, bar, box, pairs, f_upper):
+        def recording_pair_set(hat, bar, box, pairs):
             boxes.append((box, pairs is None))
-            return pair_set(hat, bar, box, pairs, f_upper=f_upper)
+            return pair_set(hat, bar, box, pairs)
 
         def recording_reduce(pairs, f_upper):
             red = reduce(pairs, f_upper)
@@ -601,11 +602,11 @@ def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
     model = nsbb_solve(hat, bar, box, **kwargs)
     pair_set, roots = gopt.compute_pair_set, []
 
-    def dense_root(hat, bar, box, pairs, f_upper):
+    def dense_root(hat, bar, box, pairs):
         if pairs is None:
             roots.append(box)
             pairs = PairSet.dense(len(hat), len(bar))
-        return pair_set(hat, bar, box, pairs, f_upper=f_upper)
+        return pair_set(hat, bar, box, pairs)
 
     monkeypatch.setattr(gopt, "compute_pair_set", dense_root)
     dense = nsbb_solve(hat, bar, box, **kwargs)
@@ -613,3 +614,99 @@ def test_model_root_set_leaves_these_searches_unchanged(name, monkeypatch):
     assert model.nodes_explored == dense.nodes_explored > 0
     assert model.f_lower == dense.f_lower and model.f_upper == dense.f_upper
     assert model.bound_log == dense.bound_log
+
+
+def test_one_single_partner_model_per_feasible_pass(tiny_scene, monkeypatch):
+    """A 1-node solve forms single_partner_model once per pair-set pass whose
+    reduction is feasible, the root included, and every pair model it forms
+    comes from compute_pair_set or single_partner_model: gopt forms none."""
+    hat, bar, _ = tiny_scene
+    active, feasible, models, outside = [], [], [], []
+    pair_model, reduce, spm = relax._pair_model, gopt.reduce_pairs, gopt.single_partner_model
+
+    def within(name, fn):
+        def wrapper(*args, **kwargs):
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return wrapper
+
+    def recording_pair_model(*args):
+        if not active:
+            outside.append(args)
+        return pair_model(*args)
+
+    def recording_reduce(pairs, f_upper):
+        red = reduce(pairs, f_upper)
+        feasible.append(not red.infeasible)
+        return red
+
+    def counting_model(*args):
+        models.append(args)
+        return spm(*args)
+
+    monkeypatch.setattr(relax, "_pair_model", recording_pair_model)
+    monkeypatch.setattr(gopt, "compute_pair_set", within("pair_set", gopt.compute_pair_set))
+    monkeypatch.setattr(gopt, "reduce_pairs", recording_reduce)
+    monkeypatch.setattr(gopt, "single_partner_model", within("model", counting_model))
+    rep = nsbb_solve(hat, bar, AngleBox.symmetric_deg(0.5), eps_abs=1e-4, eps_rel=1e-4,
+                     max_nodes=1)
+    assert rep.nodes_explored == 1 and len(feasible) == 9 + rep.cut_passes
+    assert len(models) == sum(feasible) and models[0][1] == AngleBox.symmetric_deg(0.5)
+    assert outside == [] and not hasattr(gopt, "_pair_model")
+
+
+def test_certificate_builds_no_validated_pair_set(monkeypatch):
+    """Every PairSet a solve makes comes from the unchecked builder, so a W2
+    certificate runs the validating constructor's checks on none."""
+    hat, bar, _ = synth_generate(30, 60, PLANTED, 0.02, seed=600)
+    box = AngleBox.symmetric_deg(2.0)
+    warm = ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box, max_rounds=5)).best
+    post_init, checked = PairSet.__post_init__, []
+
+    def counting(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PairSet, "__post_init__", counting)
+    PairSet(n_hat=1, i=[0], j=[0], c_lo=[0.0], c_hi=[1.0])
+    assert len(checked) == 1  # the counter sees the validating constructor
+    rep = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=1e-4, f_upper_init=warm)
+    assert rep.converged_by in ("gap_rel", "gap_abs") and rep.nodes_explored > 0
+    assert len(checked) == 1
+
+
+ENCLOSURE_LIBRARY = [(relax, name) for name in
+                     ("build_polytope", "_polytopes", "_halfspaces", "_vertices", "_reach_bounds",
+                      "rotation_interval", "gjk_min_sq_dist", "max_vertex_sq_dist")]
+ENCLOSURE_LIBRARY += [(spatial, name) for name in
+                      ("hull_min_sq_dist", "gjk_min_sq_dist", "max_vertex_sq_dist")]
+ENCLOSURE_LIBRARY += [(rotation, "rotation_interval")]
+
+
+@pytest.mark.parametrize("n_hat, n_bar, seed, eps_abs, max_nodes, ags_rounds",
+                         [(10, 20, 600, 1e-6, None, 5), (100, 250, 1, 0.1, 0, 0)],
+                         ids=["W3_certificate", "100x250_root"])
+def test_solves_never_call_the_enclosure_library(n_hat, n_bar, seed, eps_abs, max_nodes,
+                                                 ags_rounds, monkeypatch):
+    """Without solver_cmd, a solve bounds every box from the pair model: no
+    polytope, interval enclosure or hull distance is computed."""
+    hat, bar, _ = synth_generate(n_hat, n_bar, PLANTED, 0.02, seed=seed)
+    box = AngleBox.symmetric_deg(2.0)
+    warm = (ags_run(hat, bar, AgsConfig(n_d=10, t_max=120.0, box=box,
+                                        max_rounds=ags_rounds)).best if ags_rounds else None)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve called the enclosure library")
+
+    for module, name in ENCLOSURE_LIBRARY:
+        monkeypatch.setattr(module, name, forbidden)
+    rep = nsbb_solve(hat, bar, box, eps_rel=0.01, eps_abs=eps_abs, f_upper_init=warm,
+                     max_nodes=max_nodes)
+    if max_nodes is None:
+        assert rep.converged_by in ("gap_rel", "gap_abs") and rep.nodes_explored > 0
+    else:
+        assert rep.converged_by == "node_limit" and rep.pairs_root == n_hat * n_bar

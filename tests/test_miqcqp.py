@@ -13,7 +13,7 @@ from boresight.cloud import georeference
 from boresight.gopt import Node, node_lower_bound, nsbb_solve
 from boresight.miqcqp import MiqcqpModel, SolverError, build_miqcqp, export_model, parse_model
 from boresight.reduce import PairSet, reduce_pairs
-from boresight.relax import _reach_bounds, compute_pair_set
+from boresight.relax import _reach_bounds, compute_pair_set, single_partner_model
 from boresight.rotation import AngleBox, EulerAngles, rotation_interval
 from boresight.search import evaluate_ub
 
@@ -21,10 +21,14 @@ PLANTED = EulerAngles.from_degrees(1.0, -0.5, 0.25)
 
 
 def make_node(hat, bar, box, f_upper=np.inf):
-    pairs = compute_pair_set(hat, bar, box, f_upper=f_upper)
+    pairs = compute_pair_set(hat, bar, box)
     red = reduce_pairs(pairs, f_upper)
     assert not red.infeasible
     return Node(box=box, pairs=red.pairs, lower=0.0)
+
+
+def model_of(node, hat, bar):
+    return single_partner_model(node.pairs, node.box, hat, bar)
 
 
 def model_point(hat, bar, pairs, angles, assignment):
@@ -109,7 +113,7 @@ class TestBuildMiqcqp:
         the per-point reach boxes placed by the INS pose."""
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(1.0)
-        pairs = reduce_pairs(compute_pair_set(hat, bar, box, f_upper=50.0), 50.0).pairs
+        pairs = reduce_pairs(compute_pair_set(hat, bar, box), 50.0).pairs
         calls = []
         interval = miqcqp.rotation_interval
 
@@ -212,24 +216,26 @@ class TestExternalAdapter:
         node = make_node(hat, bar, box)
         node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
         cmd = self.write_script(tmp_path, 'echo "LOWER 20.0"')
-        lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd,
-                              node_upper=node_upper)
+        lb = node_lower_bound(node, hat=hat, bar=bar, model=model_of(node, hat, bar),
+                              solver_cmd=cmd, node_upper=node_upper)
         assert lb == pytest.approx(20.0)
 
     def test_failing_adapter_falls_back_to_builtin(self, tiny_scene, tmp_path):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, hat, bar)
+        builtin = node_lower_bound(node, hat, bar, model_of(node, hat, bar))
         cmd = self.write_script(tmp_path, "exit 3")
-        lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd)
+        lb = node_lower_bound(node, hat=hat, bar=bar, model=model_of(node, hat, bar),
+                              solver_cmd=cmd)
         assert lb == pytest.approx(builtin)
 
     def test_garbage_output_falls_back(self, tiny_scene, tmp_path):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, hat, bar)
+        builtin = node_lower_bound(node, hat, bar, model_of(node, hat, bar))
         cmd = self.write_script(tmp_path, 'echo "no bound here"')
-        lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd)
+        lb = node_lower_bound(node, hat=hat, bar=bar, model=model_of(node, hat, bar),
+                              solver_cmd=cmd)
         assert lb == pytest.approx(builtin)
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e300"])
@@ -238,14 +244,14 @@ class TestExternalAdapter:
         hat, bar, _ = tiny_scene
         box = AngleBox.symmetric_deg(0.1)
         node = make_node(hat, bar, box)
-        builtin = node_lower_bound(node, hat, bar)
+        builtin = node_lower_bound(node, hat, bar, model_of(node, hat, bar))
         node_upper = evaluate_ub(hat, bar, box.midpoint()).objective
         cmd = self.write_script(tmp_path, f'echo "LOWER {value}"')
         model_dir = tmp_path / "models"
         model_dir.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(model_dir))
-        lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=cmd,
-                              node_upper=node_upper)
+        lb = node_lower_bound(node, hat=hat, bar=bar, model=model_of(node, hat, bar),
+                              solver_cmd=cmd, node_upper=node_upper)
         assert lb == builtin
         assert "LOWER" in caplog.text
         assert list(model_dir.iterdir()) == []
@@ -263,6 +269,7 @@ class TestExternalAdapter:
     def test_missing_adapter_uses_builtin(self, tiny_scene):
         hat, bar, _ = tiny_scene
         node = make_node(hat, bar, AngleBox.symmetric_deg(0.1))
-        builtin = node_lower_bound(node, hat, bar)
-        lb = node_lower_bound(node, hat=hat, bar=bar, solver_cmd=None)
+        builtin = node_lower_bound(node, hat, bar, model_of(node, hat, bar))
+        lb = node_lower_bound(node, hat=hat, bar=bar, model=model_of(node, hat, bar),
+                              solver_cmd=None)
         assert lb == pytest.approx(builtin)

@@ -26,6 +26,16 @@ class TestPairSet:
         with pytest.raises(ValueError):
             make_pairs([(0, 1, 0, 1), (0, 1, 0, 2)])
 
+    @pytest.mark.parametrize("i, j, match", [
+        ([0, -1], [0, 0], "hat indices"),
+        ([0, 2], [0, 0], "hat indices"),
+        ([0, 1], [0, -1], "bar indices"),
+        ([0, 1], [2, -1], "bar indices"),  # keys 2 and 2: not reported as duplicates
+    ], ids=["negative_i", "i_at_n_hat", "negative_j", "negative_j_key_collision"])
+    def test_rejects_indices_out_of_range(self, i, j, match):
+        with pytest.raises(ValueError, match=match):
+            PairSet(n_hat=2, i=i, j=j, c_lo=[0.0, 0.0], c_hi=[1.0, 1.0])
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             make_pairs([(0, 1, 3.0, 1.0)])
@@ -121,7 +131,7 @@ class TestReductionSafetyOracle:
         hat, bar, _ = synth_generate(15, 30, truth, 0.0, seed=seed)
         box = AngleBox.symmetric_deg(2.0)
         f_upper = evaluate_ub(hat, bar, truth).objective + 1e-9  # valid upper bound
-        ps = compute_pair_set(hat, bar, box, f_upper=f_upper)
+        ps = compute_pair_set(hat, bar, box)
         res = reduce_pairs(ps, f_upper)
         assert not res.infeasible
         kept = set(zip(res.pairs.i.tolist(), res.pairs.j.tolist()))

@@ -318,7 +318,7 @@ class TestRootModelBounds:
         f_upper = evaluate_ub(hat, bar, box.midpoint()).objective
         parent = reduce_pairs(compute_pair_set(hat, bar, AngleBox.symmetric_deg(2.0)), f_upper)
         hull_calls = recording(monkeypatch, "hull_min_sq_dist", 0, module=spatial)
-        ps = compute_pair_set(hat, bar, box, parent.pairs, f_upper)
+        ps = compute_pair_set(hat, bar, box, parent.pairs)
         assert hull_calls == []
         assert_brackets_the_grid(ps, hat, bar, box)
 
